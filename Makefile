@@ -32,28 +32,29 @@ races-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro races --smoke --knob ack-before-commit > /dev/null
 	PYTHONPATH=src $(PYTHON) -m repro races --smoke --knob release-oldest > /dev/null
 
-# Checkpoint state-coverage: inventory self-check, static CKPT1xx pass
-# against the checked-in known-gap baseline, then the full differential
-# oracle (checkpoint -> restore -> deep-compare) over every catalog
-# workload.
+# Checkpoint state-coverage analyzer (ckptcov, # ckpt: annotations):
+# inventory selfcheck, CKPT1xx lint against the checked-in known-gap
+# baseline, then the full differential oracle (checkpoint -> restore ->
+# deep-compare) over every catalog workload.
 ckptcov:
-	PYTHONPATH=src $(PYTHON) -m repro ckptcov --check-inventory
-	PYTHONPATH=src $(PYTHON) -m repro ckptcov --baseline ckptcov-baseline.json \
+	PYTHONPATH=src $(PYTHON) -m repro ckptcov selfcheck
+	PYTHONPATH=src $(PYTHON) -m repro ckptcov lint --baseline ckptcov-baseline.json \
 	  --diff --workload swaptions --workload streamcluster --workload redis \
 	  --workload ssdb --workload node --workload lighttpd --workload djcms \
 	  --workload disk-rw --workload net-echo --workload net
 
-# CI subset: self-check, baselined static pass, one oracle workload per
-# checkpoint surface (fs cache via ssdb, network stack via net-echo).
+# CI subset: baselined lint (selfcheck is implicit), one oracle workload
+# per checkpoint surface (fs cache via ssdb, network stack via net-echo).
 ckptcov-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro ckptcov --check-inventory > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro ckptcov --baseline ckptcov-baseline.json \
+	PYTHONPATH=src $(PYTHON) -m repro ckptcov lint --baseline ckptcov-baseline.json \
 	  --diff --workload ssdb --workload net-echo
 
-# Hot-path performance analyzer: annotation/root self-check, PERF lint
-# against the checked-in known-debt baseline, a deterministic profiled run
-# cross-referencing every finding, and the full wall-clock bench gated
-# against the checked-in BENCH_engine.json.
+# Hot-path performance analyzer (perf, # hot: annotations): root and
+# annotation selfcheck, PERF lint against the checked-in known-debt
+# baseline, a deterministic profiled run cross-referencing every finding,
+# and the full wall-clock bench gated against the checked-in
+# BENCH_engine.json (each workload's events/sec relative to this host's
+# engine loop, so a slower host does not fail it).
 perf:
 	PYTHONPATH=src $(PYTHON) -m repro perf selfcheck
 	PYTHONPATH=src $(PYTHON) -m repro perf lint --baseline perf-baseline.json
@@ -61,7 +62,7 @@ perf:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --check BENCH_engine.json
 
 # CI subset: baselined lint (selfcheck is implicit) + one bounded profiled
-# workload with the 20% events/sec regression gate.
+# workload and the smoke bench with the 20% relative events/sec gate.
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro perf lint --baseline perf-baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro perf profile --smoke
@@ -71,10 +72,11 @@ perf-smoke:
 perf-bench:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --out BENCH_engine.json
 
-# Nondeterminism-provenance analyzer: inventory self-check, NDF lint
-# against the checked-in baseline (only the unsafe_unlogged_draw knob is
-# frozen there), the record->replay oracle over the default matrix, and
-# the knob probe (the oracle MUST detect the unlogged draw).
+# Nondeterminism-provenance analyzer (ndflow, # nd: annotations):
+# inventory selfcheck, NDF lint against the checked-in baseline (only the
+# unsafe_unlogged_draw knob is frozen there), the record->replay oracle
+# over the default matrix, and the knob probe (the oracle MUST detect the
+# unlogged draw).
 ndflow:
 	PYTHONPATH=src $(PYTHON) -m repro ndflow selfcheck
 	PYTHONPATH=src $(PYTHON) -m repro ndflow lint --baseline ndflow-baseline.json
@@ -88,10 +90,11 @@ ndflow-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro ndflow replay --smoke
 	PYTHONPATH=src $(PYTHON) -m repro ndflow replay --smoke --knob unsafe-unlogged-draw > /dev/null
 
-# Recovery-path coverage analyzer: failure-surface inventory self-check,
-# FTC lint against the frozen baseline, the full-catalog coverage
-# recorder (every fault point / state edge / handler crossed against the
-# static inventory), and the drop-scenario knob polarity probe.
+# Recovery-path coverage analyzer (ftcov, # ft: annotations):
+# failure-surface inventory selfcheck, FTC lint against the frozen
+# baseline, the full-catalog coverage recorder (every fault point / state
+# edge / handler crossed against the static inventory), and the
+# drop-scenario knob polarity probe.
 ftcov:
 	PYTHONPATH=src $(PYTHON) -m repro ftcov selfcheck
 	PYTHONPATH=src $(PYTHON) -m repro ftcov lint --baseline ftcov-baseline.json
@@ -107,7 +110,10 @@ ftcov-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro ftcov record --knob drop-scenario > /dev/null
 
 # All six analyzer passes (nlint, races, ckptcov, perf, ndflow, ftcov) as
-# one gate with a merged findings artifact; this is what CI runs.
+# one gate with a merged findings artifact; this is what CI runs.  The
+# static steps share one parsed source tree (one parse per file, each
+# selfcheck once); it also runs ftcov-smoke's three commands, and the
+# hycor bench is left to hycor-smoke.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --json-out analyze-report.json
 

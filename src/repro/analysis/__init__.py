@@ -34,104 +34,22 @@ This package provides the enforcement layers:
   PERF001..PERF006 rules linting only that hot surface, a deterministic
   profiler (:mod:`repro.sim.profiler`) cross-referencing every finding,
   and the wall-clock benchmark gate behind ``BENCH_engine.json``.
-* :mod:`repro.analysis.baseline` — finding baselines shared by ``lint``,
-  ``ckptcov`` and ``perf``: known findings are frozen in a checked-in
-  file, new ones gate CI.
+* :mod:`repro.analysis.ndflow` / :mod:`repro.analysis.ftcov` — the
+  nondeterminism-provenance and recovery-path coverage analyzers
+  (``python -m repro ndflow`` / ``ftcov``).
+* :mod:`repro.analysis.framework` — what the static analyzers share: one
+  parsed :class:`~repro.analysis.framework.SourceTree`, one
+  ``# <tag>: <class> -- why`` annotation grammar and the ``Analyzer``
+  record (name, rule family, scope, selfcheck, lint).
+* :mod:`repro.analysis.baseline` — finding baselines shared by every
+  lint: known findings are frozen in a checked-in file, new ones gate CI.
+
+The package itself imports nothing: simulation code that needs the
+runtime auditor (:mod:`repro.replication.manager`) must not pay for
+loading the static analyzers.
 
 See ``docs/determinism.md`` for the rule catalogue and invariant list,
 ``docs/races.md`` for the race-detection machinery,
 ``docs/checkpoint-coverage.md`` for the coverage analyzer, and
 ``docs/perf.md`` for the performance analyzer.
 """
-
-from repro.analysis.auditor import InvariantViolation, StateAuditor, Violation
-from repro.analysis.baseline import (
-    BaselinedReport,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.ckptdiff import (
-    OracleResult,
-    StateDiff,
-    compare_containers,
-    run_oracle,
-)
-from repro.analysis.coverage import (
-    COVERAGE_RULE_IDS,
-    CoverageReport,
-    Inventory,
-    analyze_coverage,
-    build_inventory,
-    inventory_selfcheck,
-)
-from repro.analysis.linter import Finding, LintContext, Rule, all_rules, lint_paths, lint_source
-from repro.analysis.perf import (
-    PERF_RULE_IDS,
-    HotFunction,
-    PerfReport,
-    analyze_perf,
-    build_hot_map,
-    perf_selfcheck,
-)
-from repro.analysis.perfbench import (
-    ProfiledRun,
-    check_bench,
-    crossref,
-    run_perf_bench,
-    run_profiled_deployment,
-)
-from repro.analysis.races import (
-    RaceDetector,
-    RaceFinding,
-    install_detector,
-    uninstall_detector,
-    verify_access_coverage,
-)
-from repro.analysis.report import render_json, render_text
-
-__all__ = [
-    "BaselinedReport",
-    "COVERAGE_RULE_IDS",
-    "CoverageReport",
-    "Finding",
-    "HotFunction",
-    "InvariantViolation",
-    "Inventory",
-    "LintContext",
-    "OracleResult",
-    "PERF_RULE_IDS",
-    "PerfReport",
-    "ProfiledRun",
-    "RaceDetector",
-    "RaceFinding",
-    "Rule",
-    "StateAuditor",
-    "StateDiff",
-    "Violation",
-    "all_rules",
-    "analyze_coverage",
-    "analyze_perf",
-    "apply_baseline",
-    "build_hot_map",
-    "build_inventory",
-    "check_bench",
-    "compare_containers",
-    "crossref",
-    "fingerprint",
-    "install_detector",
-    "inventory_selfcheck",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "perf_selfcheck",
-    "run_perf_bench",
-    "run_profiled_deployment",
-    "render_json",
-    "render_text",
-    "run_oracle",
-    "uninstall_detector",
-    "verify_access_coverage",
-    "write_baseline",
-]

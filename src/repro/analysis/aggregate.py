@@ -4,12 +4,15 @@ Runs all six analyzer families — nlint (DET/CKPT/RACE/ORD), races
 (happens-before + schedule fuzz), ckptcov (CKPT1xx + differential
 oracle), perf (PERF + profiler + bench gate), ndflow (NDF +
 record→replay oracle), and ftcov (FTC + catalog coverage crossref) —
-plus the hycor bench gate (replication-mode tradeoff cells against
-BENCH_hycor.json) — through their real CLI entry points, so each step
-keeps its exact gate semantics (baselines, knob polarity, selfchecks).  The aggregate exit
-code is the max over steps, and the merged findings artifact re-runs
-the five static passes once more to tag every finding with its
-analyzer and baseline disposition.
+through their real CLI entry points, so each step keeps its exact gate
+semantics (baselines, knob polarity, selfchecks).  The aggregate exit
+code is the max over steps.
+
+Every step reads one shared :class:`~repro.analysis.framework.SourceTree`:
+each source file is parsed once, each selfcheck runs once (the lint
+step reuses it), and the merged findings artifact is built from the lint
+results the steps already produced.  The hycor bench gate is not a step:
+CI runs it in its own ``make hycor-smoke`` step.
 """
 
 from __future__ import annotations
@@ -35,12 +38,11 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
      ("races", "--knob", "ack-before-commit")),
     ("races", ("races", "--smoke", "--knob", "release-oldest"),
      ("races", "--knob", "release-oldest")),
-    ("ckptcov", ("ckptcov", "--check-inventory"),
-     ("ckptcov", "--check-inventory")),
+    ("ckptcov", ("ckptcov", "selfcheck"), ("ckptcov", "selfcheck")),
     ("ckptcov",
-     ("ckptcov", "--baseline", "ckptcov-baseline.json", "--diff",
+     ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--diff",
       "--workload", "ssdb", "--workload", "net-echo"),
-     ("ckptcov", "--baseline", "ckptcov-baseline.json", "--diff")),
+     ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--diff")),
     ("perf", ("perf", "selfcheck"), ("perf", "selfcheck")),
     ("perf", ("perf", "lint", "--baseline", "perf-baseline.json"),
      ("perf", "lint", "--baseline", "perf-baseline.json")),
@@ -57,14 +59,14 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("ftcov", ("ftcov", "selfcheck"), ("ftcov", "selfcheck")),
     ("ftcov", ("ftcov", "lint", "--baseline", "ftcov-baseline.json"),
      ("ftcov", "lint", "--baseline", "ftcov-baseline.json")),
-    ("ftcov", ("ftcov", "record"), ("ftcov", "record")),
+    # Writes the coverage matrix CI uploads as an artifact.
+    ("ftcov", ("ftcov", "record", "--json-out", "coverage-matrix.json"),
+     ("ftcov", "record", "--json-out", "coverage-matrix.json")),
     ("ftcov", ("ftcov", "record", "--knob", "drop-scenario"),
      ("ftcov", "record", "--knob", "drop-scenario")),
-    ("hycor", ("hycor", "bench", "--smoke", "--check", "BENCH_hycor.json"),
-     ("hycor", "bench", "--check", "BENCH_hycor.json")),
 )
 
-#: Static pass -> (finding producer, baseline file or None).
+#: Static pass -> baseline file (nlint has none: its findings are errors).
 _BASELINES = {
     "nlint": None,
     "ckptcov": "ckptcov-baseline.json",
@@ -74,39 +76,29 @@ _BASELINES = {
 }
 
 
-def _static_findings(analyzer: str):
+def _static_findings(analyzer: str, tree):
     if analyzer == "nlint":
-        from repro.analysis.linter import all_rules, lint_paths
+        from repro.analysis.linter import lint_tree
 
-        return lint_paths(["src"], all_rules())
-    if analyzer == "ckptcov":
-        from repro.analysis.coverage import analyze_coverage
+        return tree.memo("nlint", lambda: lint_tree(tree))
+    from repro.analysis.framework import get_analyzer
 
-        return analyze_coverage().findings
-    if analyzer == "perf":
-        from repro.analysis.perf import analyze_perf
-
-        return analyze_perf().findings
-    if analyzer == "ndflow":
-        from repro.analysis.ndflow import analyze_ndflow
-
-        return analyze_ndflow().findings
-    if analyzer == "ftcov":
-        from repro.analysis.ftcov import analyze_ftcov
-
-        return analyze_ftcov().findings
-    raise KeyError(analyzer)
+    return get_analyzer(analyzer).lint(tree)
 
 
-def collect_findings() -> list[dict]:
+def collect_findings(tree=None) -> list[dict]:
     """One merged record per static finding across all five lint passes,
     tagged with its analyzer and whether the checked-in baseline already
-    accounts for it (the dynamic passes gate via their step exit codes)."""
+    accounts for it (the dynamic passes gate via their step exit codes).
+    Lint results already memoized on *tree* are reused, not recomputed."""
     from repro.analysis.baseline import apply_baseline, load_baseline
+    from repro.analysis.framework import SourceTree
 
+    if tree is None:
+        tree = SourceTree.load()
     merged: list[dict] = []
     for analyzer, baseline_file in _BASELINES.items():
-        findings = _static_findings(analyzer)
+        findings = _static_findings(analyzer, tree)
         baselined_ids: set[int] = set()
         if baseline_file is not None:
             try:
@@ -134,8 +126,10 @@ def collect_findings() -> list[dict]:
 
 def run_all(smoke: bool = True) -> dict:
     """Run every step; never stops early (one report shows all failures)."""
+    from repro.analysis.framework import SourceTree
     from repro.cli import main as cli_main
 
+    tree = SourceTree.load()
     steps: list[dict] = []
     worst = 0
     for analyzer, smoke_argv, full_argv in STEPS:
@@ -144,7 +138,7 @@ def run_all(smoke: bool = True) -> dict:
         start = _wall()
         try:
             with contextlib.redirect_stdout(buf):
-                code = cli_main(argv)
+                code = cli_main(argv, tree=tree)
         except Exception as exc:  # a crashed step must not hide the rest
             buf.write(f"CRASH: {exc!r}\n")
             code = 3
@@ -156,7 +150,7 @@ def run_all(smoke: bool = True) -> dict:
             "output": buf.getvalue(),
         })
         worst = max(worst, code)
-    findings = collect_findings()
+    findings = collect_findings(tree)
     return {
         "mode": "smoke" if smoke else "full",
         "steps": steps,

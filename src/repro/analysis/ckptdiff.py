@@ -40,12 +40,11 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.analysis.coverage import (
-    ClassInfo,
     Inventory,
     analyze_coverage,
     build_inventory,
-    load_source_set,
 )
+from repro.analysis.framework import SourceTree
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.container.runtime import Container
@@ -398,7 +397,7 @@ def run_oracle(
     restored = outcome["restored"]
 
     if inventory is None:
-        inventory = build_inventory(load_source_set().inventory)
+        inventory = build_inventory(SourceTree.load())
     if static_uncovered is None:
         static_uncovered = analyze_coverage().uncovered()
 

@@ -51,9 +51,10 @@ CKPT104   warning   field written between epochs with no soft-dirty or
                     statecache invalidation path (stale dump)
 ========  ========  =====================================================
 
-Findings use the standard nlint machinery: :class:`~repro.analysis.linter.
-Finding` objects, ``# nlint: disable=CKPT104 -- why`` suppressions, and
-``--select/--ignore`` filtering.  Known gaps are frozen in a baseline file
+Findings use the shared analyzer frame (:mod:`repro.analysis.framework`):
+:class:`~repro.analysis.linter.Finding` objects, ``# nlint:
+disable=CKPT104 -- why`` suppressions, and ``--select/--ignore``
+filtering.  Known gaps are frozen in a baseline file
 (:mod:`repro.analysis.baseline`) so new gaps fail CI while old ones burn
 down.
 
@@ -66,101 +67,46 @@ oracle is the semantic backstop for what name matching over-approximates.
 from __future__ import annotations
 
 import ast
-import re
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.analysis.linter import (
-    _ALL,
-    _SUPPRESS_RE,
-    Finding,
-    LintContext,
-    Rule,
-    _own_nodes,
-    register,
+from repro.analysis.framework import (
+    Analyzer,
+    SourceTree,
+    annotation_problems,
+    select_findings,
 )
+from repro.analysis.linter import Finding, _own_nodes, assigned_name
 
 __all__ = [
+    "ANALYZER",
+    "CKPT_CLASSES",
     "ClassInfo",
     "CoverageReport",
     "FieldInfo",
     "Inventory",
+    "SourceSet",
     "analyze_coverage",
     "analyze_source_set",
     "build_inventory",
-    "inventory_selfcheck",
-    "load_source_set",
+    "ckptcov_selfcheck",
     "COVERAGE_RULE_IDS",
 ]
 
-
-# --------------------------------------------------------------------------- #
-# Rule registration (ids, summaries, severities — shared with `repro lint    #
-# --list-rules` and `--select/--ignore`).  The rules need whole-program      #
-# context, so they never fire during per-file linting: the ckptcov driver    #
-# constructs their findings directly.                                        #
-# --------------------------------------------------------------------------- #
-
-
-class _CoverageRule(Rule):
-    """Whole-program rule: registered for id/severity bookkeeping only."""
-
-    # Nominal interest so the registry's "every rule visits something"
-    # invariant holds; visit() is a no-op — ckptcov builds these findings.
-    interests: tuple[type, ...] = (ast.Module,)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-
-@register
-class ClassNotInventoried(_CoverageRule):
-    rule_id = "CKPT100"
-    summary = ("state-bearing class reachable by no dump path and carrying no "
-               "__ckpt_ignore__ / annotation decision")
-    severity = "error"
-
-
-@register
-class MutatedNeverDumped(_CoverageRule):
-    rule_id = "CKPT101"
-    summary = "mutable container state never read by any checkpoint dump path"
-    severity = "warning"
-
-
-@register
-class DumpedNeverRestored(_CoverageRule):
-    rule_id = "CKPT102"
-    summary = "field read during dump but never written by any restore path"
-    severity = "warning"
-
-
-@register
-class RestoredNeverDumped(_CoverageRule):
-    rule_id = "CKPT103"
-    summary = "field written during restore but never dumped (restore-from-nothing)"
-    severity = "warning"
-
-
-@register
-class NoInvalidationPath(_CoverageRule):
-    rule_id = "CKPT104"
-    summary = ("field written between epochs with no soft-dirty or statecache "
-               "invalidation path")
-    severity = "warning"
-
-
+#: The rule family (CKPT100 is an error, the rest are warnings).
 COVERAGE_RULE_IDS = ("CKPT100", "CKPT101", "CKPT102", "CKPT103", "CKPT104")
 
+#: The ``# ckpt:`` annotation vocabulary.
+CKPT_CLASSES = frozenset({"derived", "ephemeral"})
+
 
 # --------------------------------------------------------------------------- #
-# Source loading                                                              #
+# Scope                                                                       #
 # --------------------------------------------------------------------------- #
 
 #: Inventory scope (Layer 1): the simulated kernel and its network stack.
-_INVENTORY_DIRS = ("kernel", "net")
+_INVENTORY_DIRS = ("kernel/", "net/")
 
 #: Dump corpus (Layer 2): everything a checkpoint reads.
 _DUMP_FILES = (
@@ -176,8 +122,6 @@ _RESTORE_FILES = ("criu/restore.py",)
 
 #: Scanned for ftrace-hooked mutation wrappers (CKPT104 evidence).
 _WRAPPER_FILES = ("container/runtime.py",)
-
-_CKPT_ANNOT_RE = re.compile(r"#\s*ckpt:\s*(derived|ephemeral)\b")
 
 #: Methods whose writes are the restore path itself (exempt from CKPT104).
 _RESTORER_METHODS = frozenset(
@@ -200,67 +144,22 @@ _ENUM_BASES = frozenset(
 
 @dataclass
 class SourceSet:
-    """The analyzed source texts, keyed by display path."""
+    """The analyzed sources by role (display path -> text); tests build
+    one from synthetic texts, :meth:`of` takes the roles from a tree."""
 
-    inventory: dict[str, str]
-    dump: dict[str, str]
-    restore: dict[str, str]
-    wrappers: dict[str, str]
+    inventory: Mapping[str, str]
+    dump: Mapping[str, str]
+    restore: Mapping[str, str]
+    wrappers: Mapping[str, str]
 
-
-def _pkg_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def _norm(path: str) -> str:
-    return path.replace("\\", "/")
-
-
-def _override_for(rel: str, overrides: Mapping[str, str] | None) -> str | None:
-    """Find an override for package-relative path *rel* (suffix match, so
-    tests may key on ``kernel/cgroup.py`` or ``src/repro/kernel/cgroup.py``)."""
-    if not overrides:
-        return None
-    for key, text in overrides.items():
-        norm = _norm(key)
-        if norm == rel or norm.endswith("/" + rel):
-            return text
-    return None
-
-
-def load_source_set(overrides: Mapping[str, str] | None = None) -> SourceSet:
-    """Load the analyzed sources from the installed package.
-
-    *overrides* maps path (suffix) to replacement source text; a test can
-    delete a dump site from ``kernel/cgroup.py`` without touching disk.
-    Display paths are always ``src/repro/<rel>`` so findings and baseline
-    fingerprints are stable regardless of the working directory.
-    """
-    root = _pkg_root()
-
-    def load(rels: Iterable[str]) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for rel in rels:
-            text = _override_for(rel, overrides)
-            if text is None:
-                text = (root / rel).read_text()
-            out[f"src/repro/{rel}"] = text
-        return out
-
-    inv_rels = []
-    for sub in _INVENTORY_DIRS:
-        for path in sorted((root / sub).rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            inv_rels.append(path.relative_to(root).as_posix())
-    return SourceSet(
-        inventory=load(inv_rels),
-        dump=load(_DUMP_FILES),
-        restore=load(_RESTORE_FILES),
-        wrappers=load(_WRAPPER_FILES),
-    )
+    @classmethod
+    def of(cls, tree: SourceTree) -> SourceSet:
+        return cls(
+            inventory=tree.scope(*_INVENTORY_DIRS),
+            dump=tree.scope(*_DUMP_FILES),
+            restore=tree.scope(*_RESTORE_FILES),
+            wrappers=tree.scope(*_WRAPPER_FILES),
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -280,6 +179,8 @@ class FieldInfo:
     classification: str = "relevant"
     #: Non-``__init__`` methods that write the field -> first mutation line.
     mutators: dict[str, int] = dc_field(default_factory=dict)
+    #: Lines assigning the field: where a ``# ckpt:`` annotation attaches.
+    sites: list[int] = dc_field(default_factory=list)
     #: Layer-2 verdicts, filled by :func:`analyze_source_set`.
     dumped: bool = False
     restored: bool = False
@@ -372,95 +273,71 @@ def _self_attr(node: ast.AST) -> str | None:
     return None
 
 
-def _self_writes(fn: ast.AST) -> dict[str, int]:
-    """``self.X`` fields *fn* writes (assign/augassign/del/subscript-store/
-    in-place mutator call) -> first line."""
-    out: dict[str, int] = {}
+def _unsubscript(node: ast.AST) -> ast.AST:
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
 
-    def note(name: str | None, line: int) -> None:
-        if name is not None:
-            out.setdefault(name, line)
 
+def _self_writes(fn: ast.AST) -> tuple[dict[str, int], set[str], dict[str, list[int]]]:
+    """The ``self.X`` fields *fn* writes (assign/augassign/del/subscript-
+    store/in-place mutator call) -> first line; those written *through a
+    subscript* (``self.X[i] = ...``); and the lines assigning each field
+    directly (``self.X = ...``), where a ``# ckpt:`` annotation attaches."""
+    first: dict[str, int] = {}
+    subscripted: set[str] = set()
+    sites: dict[str, list[int]] = {}
     for node in _own_nodes(fn):
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = _self_attr(_unsubscript(node.func.value))
+            if node.func.attr in _MUTATOR_METHODS and name is not None:
+                first.setdefault(name, node.lineno)
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATOR_METHODS:
-                inner = node.func.value
-                while isinstance(inner, ast.Subscript):
-                    inner = inner.value
-                note(_self_attr(inner), node.lineno)
-            continue
         else:
             continue
         for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    while isinstance(element, ast.Subscript):
-                        element = element.value
-                    note(_self_attr(element), node.lineno)
-                continue
-            while isinstance(target, ast.Subscript):
-                target = target.value
-            note(_self_attr(target), node.lineno)
-    return out
-
-
-def _self_subscript_writes(fn: ast.AST) -> set[str]:
-    """Fields written *through a subscript* (``self.X[i] = ...``)."""
-    out: set[str] = set()
-    for node in _own_nodes(fn):
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Subscript):
-                inner = target.value
-                while isinstance(inner, ast.Subscript):
-                    inner = inner.value
-                name = _self_attr(inner)
+            unpacked = isinstance(target, (ast.Tuple, ast.List))
+            for element in target.elts if unpacked else [target]:
+                name = _self_attr(_unsubscript(element))
                 if name is not None:
-                    out.add(name)
-    return out
+                    first.setdefault(name, node.lineno)
+            if unpacked or isinstance(node, ast.Delete):
+                continue
+            if _self_attr(target) is not None:
+                sites.setdefault(target.attr, []).append(node.lineno)
+            elif isinstance(target, ast.Subscript) and not isinstance(node, ast.AnnAssign):
+                name = _self_attr(_unsubscript(target))
+                if name is not None:
+                    subscripted.add(name)
+    return first, subscripted, sites
 
 
 def _self_reads(fn: ast.AST) -> set[str]:
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        name = _self_attr(node)
-        if name is not None:
-            out.add(name)
-    return out
+    return {name for node in ast.walk(fn) if (name := _self_attr(node)) is not None}
 
 
-def _scan_class(node: ast.ClassDef, path: str, source_lines: list[str]) -> ClassInfo:
+def _scan_class(node: ast.ClassDef, path: str, annotations) -> ClassInfo:
     info = ClassInfo(name=node.name, path=path, line=node.lineno)
     info.exempt = _is_exempt(node)
     ignored_fields: set[str] = set()
 
     # Class-level markers and dataclass fields.
     for stmt in node.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(
-            stmt.targets[0], ast.Name
-        ):
-            target = stmt.targets[0].id
-            if target == "__ckpt_ignore__":
-                value = _literal(stmt.value)
-                if value is True:
-                    info.ignored = True
-                elif isinstance(value, (tuple, list)):
-                    ignored_fields |= {str(v) for v in value}
-            elif target == "__ckpt_cadence__":
-                value = _literal(stmt.value)
-                if isinstance(value, str):
-                    info.cadence = value
+        marker = assigned_name(stmt)
+        if marker == "__ckpt_ignore__":
+            value = _literal(stmt.value)
+            if value is True:
+                info.ignored = True
+            elif isinstance(value, (tuple, list)):
+                ignored_fields |= {str(v) for v in value}
+        elif marker == "__ckpt_cadence__":
+            value = _literal(stmt.value)
+            if isinstance(value, str):
+                info.cadence = value
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             name = stmt.target.id
             if name.startswith("__") or name.isupper():
@@ -471,16 +348,21 @@ def _scan_class(node: ast.ClassDef, path: str, source_lines: list[str]) -> Class
             )
 
     # Methods: field discovery + per-method read/write summaries.
+    sites: dict[str, list[int]] = {}
     for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            sites.setdefault(stmt.target.id, []).append(stmt.lineno)
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        writes = _self_writes(stmt)
+        writes, subscripted, method_sites = _self_writes(stmt)
+        for name, lines in method_sites.items():
+            sites.setdefault(name, []).extend(lines)
         info.methods[stmt.name] = MethodInfo(
             name=stmt.name,
             line=stmt.lineno,
             self_reads=frozenset(_self_reads(stmt)),
             self_stores=frozenset(writes),
-            self_subscript_stores=frozenset(_self_subscript_writes(stmt)),
+            self_subscript_stores=frozenset(subscripted),
         )
         for name, line in writes.items():
             if name.startswith("__"):
@@ -496,52 +378,29 @@ def _scan_class(node: ast.ClassDef, path: str, source_lines: list[str]) -> Class
 
     # Classification from annotations / per-field ignores.
     for field_info in info.fields.values():
+        field_info.sites = sorted(set(sites.get(field_info.name, ())))
         if field_info.name in ignored_fields:
             field_info.classification = "ignored"
             continue
-        for line_no in _field_site_lines(node, field_info.name):
-            if line_no <= len(source_lines):
-                match = _CKPT_ANNOT_RE.search(source_lines[line_no - 1])
-                if match:
-                    field_info.classification = match.group(1)
-                    break
+        for line_no in field_info.sites:
+            annotation = annotations.get(line_no)
+            if annotation is not None and annotation.cls in CKPT_CLASSES:
+                field_info.classification = annotation.cls
+                break
     return info
 
 
-def _field_site_lines(node: ast.ClassDef, name: str) -> list[int]:
-    """All source lines that assign field *name* (class level or self.name)."""
-    lines: list[int] = []
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            if stmt.target.id == name:
-                lines.append(stmt.lineno)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for inner in _own_nodes(stmt):
-                if isinstance(inner, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                    targets = (
-                        inner.targets if isinstance(inner, ast.Assign)
-                        else [inner.target]
-                    )
-                    for target in targets:
-                        if _self_attr(target) == name:
-                            lines.append(inner.lineno)
-    return sorted(set(lines))
-
-
 def build_inventory(sources: Mapping[str, str]) -> Inventory:
-    """Layer 1: scan *sources* (display path -> text) for state classes."""
+    """Layer 1: scan the kernel/net files of *sources* (a tree, or display
+    path -> text) for state classes."""
     inventory = Inventory()
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
+    for file in SourceTree.of(sources).scope(*_INVENTORY_DIRS).files():
+        if file.module is None:
             continue  # plain lint already reports E999
-        lines = text.splitlines()
-        for node in ast.walk(tree):
+        for node in ast.walk(file.module):
             if not isinstance(node, ast.ClassDef):
                 continue
-            info = _scan_class(node, path, lines)
+            info = _scan_class(node, file.path, file.annotations("ckpt"))
             inventory.classes.append(info)
             for stmt in node.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -552,44 +411,36 @@ def build_inventory(sources: Mapping[str, str]) -> Inventory:
 
 
 # --------------------------------------------------------------------------- #
-# Inventory self-check (CI: `repro ckptcov --check-inventory`)                 #
+# Inventory self-check (CI: `repro ckptcov selfcheck`)                         #
 # --------------------------------------------------------------------------- #
 
-_CKPT_ANY_RE = re.compile(r"#\s*ckpt:\s*([A-Za-z_-]+)")
-_KNOWN_ANNOTATIONS = frozenset({"derived", "ephemeral"})
 _KNOWN_CADENCES = frozenset({"epoch", "infrequent"})
 
 
-def inventory_selfcheck(
+def ckptcov_selfcheck(
     srcs: SourceSet | None = None,
 ) -> tuple[list[str], dict[str, str]]:
     """Prove every kernel/net class is accounted for by the inventory.
 
     Returns ``(problems, dispositions)``: *problems* is empty when every
     inventory source parses, every ``# ckpt:`` annotation uses the known
-    vocabulary, every ``__ckpt_ignore__`` field list names real fields,
-    every ``__ckpt_cadence__`` is a known cadence, and no two state
-    classes share a name (the oracle resolves classes by name).
-    *dispositions* maps each class to how the analyzer accounts for it.
+    vocabulary and sits on a field assignment, every ``__ckpt_ignore__``
+    field list names real fields, every ``__ckpt_cadence__`` is a known
+    cadence, and no two state classes share a name (the oracle resolves
+    classes by name).  *dispositions* maps each class to how the analyzer
+    accounts for it.
     """
     if srcs is None:
-        srcs = load_source_set()
-    problems: list[str] = []
-    for path in sorted(srcs.inventory):
-        text = srcs.inventory[path]
-        try:
-            ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            problems.append(f"{path}:{exc.lineno}: does not parse: {exc.msg}")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _CKPT_ANY_RE.search(line)
-            if match and match.group(1) not in _KNOWN_ANNOTATIONS:
-                problems.append(
-                    f"{path}:{lineno}: unknown ckpt annotation "
-                    f"'{match.group(1)}' (use derived or ephemeral)"
-                )
+        srcs = SourceSet.of(SourceTree.load())
+    tree = SourceTree.of(srcs.inventory).scope(*_INVENTORY_DIRS)
+    inventory = build_inventory(tree)
+    attached: dict[str, set[int]] = {}
+    for cls_info in inventory.classes:
+        for field_info in cls_info.fields.values():
+            attached.setdefault(cls_info.path, set()).update(field_info.sites)
+    problems = tree.parse_problems() + annotation_problems(
+        tree, "ckpt", CKPT_CLASSES, attached, "a state-field assignment")
 
-    inventory = build_inventory(srcs.inventory)
     dispositions: dict[str, str] = {}
     for cls_info in inventory.classes:
         if cls_info.name in dispositions:
@@ -722,29 +573,20 @@ def _close_over(
     return ev
 
 
-def _parse_hooked_functions(sources: Mapping[str, str]) -> frozenset[str]:
+def _parse_hooked_functions(tree: SourceTree) -> frozenset[str]:
     """The ftrace hook list the statecache invalidates on (HOOKED_FUNCTIONS)."""
-    for text in sources.values():
-        try:
-            tree = ast.parse(text)
-        except SyntaxError:
+    for file in tree.files():
+        if file.module is None:
             continue
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "HOOKED_FUNCTIONS"
-            ):
+        for node in ast.walk(file.module):
+            if assigned_name(node) == "HOOKED_FUNCTIONS":
                 value = _literal(node.value)
                 if isinstance(value, (tuple, list)):
                     return frozenset(str(v) for v in value)
     return frozenset()
 
 
-def _traced_mutators(
-    sources: Mapping[str, str], hooked: frozenset[str]
-) -> frozenset[str]:
+def _traced_mutators(tree: SourceTree, hooked: frozenset[str]) -> frozenset[str]:
     """Method names called inside a wrapper that fires a hooked ftrace event.
 
     ``Container.add_mount`` calls ``namespaces.add_mount`` *and*
@@ -752,12 +594,10 @@ def _traced_mutators(
     wrapper body therefore has a statecache invalidation path.
     """
     traced: set[str] = set()
-    for text in sources.values():
-        try:
-            tree = ast.parse(text)
-        except SyntaxError:
+    for file in tree.files():
+        if file.module is None:
             continue
-        for node in ast.walk(tree):
+        for node in ast.walk(file.module):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             fires_hook = False
@@ -808,26 +648,6 @@ class CoverageReport:
                 if not field_info.covered:
                     out.add((cls_info.name, field_info.name))
         return out
-
-
-def _suppressions(sources: Mapping[str, str]) -> dict[str, dict[int, set[str]]]:
-    out: dict[str, dict[int, set[str]]] = {}
-    for path, text in sources.items():
-        per_line: dict[int, set[str]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _SUPPRESS_RE.search(line)
-            if not match:
-                continue
-            ids = match.group(1)
-            if ids is None:
-                per_line[lineno] = {_ALL}
-            else:
-                per_line[lineno] = {
-                    part.strip() for part in ids.split(",") if part.strip()
-                }
-        if per_line:
-            out[path] = per_line
-    return out
 
 
 def _emit(
@@ -947,31 +767,6 @@ def _emit(
     return findings
 
 
-def _filter(
-    findings: list[Finding],
-    suppressions: dict[str, dict[int, set[str]]],
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-) -> list[Finding]:
-    for opt in (select, ignore):
-        if opt:
-            unknown = sorted(set(opt) - set(COVERAGE_RULE_IDS))
-            if unknown:
-                raise KeyError(f"unknown rule id(s): {', '.join(unknown)}")
-    out = []
-    for finding in findings:
-        ids = suppressions.get(finding.path, {}).get(finding.line)
-        if ids is not None and (_ALL in ids or finding.rule_id in ids):
-            continue
-        if select and finding.rule_id not in select:
-            continue
-        if ignore and finding.rule_id in ignore:
-            continue
-        out.append(finding)
-    out.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
-    return out
-
-
 def analyze_source_set(
     srcs: SourceSet,
     select: Sequence[str] | None = None,
@@ -979,25 +774,25 @@ def analyze_source_set(
 ) -> CoverageReport:
     """Run Layers 1+2 over an explicit :class:`SourceSet` (tests use this
     with synthetic sources)."""
-    inventory = build_inventory(srcs.inventory)
+    inventory_tree = SourceTree.of(srcs.inventory)
+    inventory = build_inventory(inventory_tree)
 
-    def parse_all(sources: Mapping[str, str]) -> list[ast.AST]:
-        out = []
-        for path in sorted(sources):
-            try:
-                out.append(ast.parse(sources[path], filename=path))
-            except SyntaxError:
-                continue
-        return out
+    def modules(sources: Mapping[str, str]) -> list[ast.AST]:
+        return [f.module for f in SourceTree.of(sources).files()
+                if f.module is not None]
 
-    dump = _close_over(parse_all(srcs.dump), inventory)
-    restore = _close_over(parse_all(srcs.restore), inventory)
-    hooked = _parse_hooked_functions(srcs.dump)
-    traced = _traced_mutators(srcs.wrappers, hooked)
+    dump = _close_over(modules(srcs.dump), inventory)
+    restore = _close_over(modules(srcs.restore), inventory)
+    hooked = _parse_hooked_functions(SourceTree.of(srcs.dump))
+    traced = _traced_mutators(SourceTree.of(srcs.wrappers), hooked)
 
-    findings = _emit(inventory, dump, restore, traced)
-    suppressions = _suppressions({**srcs.inventory, **srcs.dump, **srcs.restore})
-    findings = _filter(findings, suppressions, select, ignore)
+    findings = [
+        f for f in _emit(inventory, dump, restore, traced)
+        if not (f.path in inventory_tree
+                and inventory_tree.file(f.path).suppressed(f.rule_id, f.line))
+    ]
+    findings = select_findings(findings, COVERAGE_RULE_IDS, select, ignore)
+    findings.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
     return CoverageReport(
         inventory=inventory,
         findings=findings,
@@ -1006,14 +801,12 @@ def analyze_source_set(
     )
 
 
-def analyze_coverage(
-    overrides: Mapping[str, str] | None = None,
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-) -> CoverageReport:
-    """Run the static checkpoint state-coverage analysis over the package.
-
-    *overrides* substitutes source text by path suffix — the acceptance
-    probe deletes one field's dump site and asserts CKPT101 appears.
-    """
-    return analyze_source_set(load_source_set(overrides), select, ignore)
+ANALYZER = Analyzer(
+    name="ckptcov",
+    rules=COVERAGE_RULE_IDS,
+    scope=(*_INVENTORY_DIRS, *_DUMP_FILES, *_RESTORE_FILES, *_WRAPPER_FILES),
+    accounts_for="class(es)",
+    check=lambda tree: ckptcov_selfcheck(SourceSet.of(tree)),
+    build=lambda tree: analyze_source_set(SourceSet.of(tree)),
+)
+analyze_coverage = ANALYZER.analyze

@@ -30,8 +30,8 @@ Three layers:
   declared edge reaches, edges naming unknown states, and ``backlog``
   annotations that do not name the missing scenario (``scenario:`` in
   the why-text) — the gap backlog cannot rot into vagueness.
-* **Layer 2 — FTC rules.**  FTC001–FTC005 below ride the standard
-  nlint machinery (:class:`~repro.analysis.linter.Finding`, per-line
+* **Layer 2 — FTC rules.**  FTC001–FTC005 below ride the shared
+  analyzer frame (:class:`~repro.analysis.linter.Finding`, per-line
   suppressions, ``--select``/``--ignore``, the shared baseline gate
   with ``ftcov-baseline.json``).  An accounted site is not flagged; a
   site annotated ``unsafe`` stays flagged — that is how the
@@ -57,20 +57,19 @@ FTC005    warning  ``inject_*`` entry point with no coverage hook — no
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
-from repro.analysis.linter import (
-    Finding,
-    LintContext,
-    Rule,
-    all_rules,
-    register,
+from repro.analysis.framework import (
+    Analyzer,
+    Annotation,
+    SourceTree,
+    annotation_problems,
 )
+from repro.analysis.linter import Finding, InventoryRule, assigned_name, check_inventory
 
 __all__ = [
+    "ANALYZER",
     "FT_CLASSES",
     "FTCOV_RULE_IDS",
     "FtInventory",
@@ -79,7 +78,6 @@ __all__ = [
     "analyze_ftcov",
     "build_ft_inventory",
     "ftcov_selfcheck",
-    "load_ftcov_sources",
 ]
 
 #: The annotation vocabulary — every inventoried site must end up in
@@ -106,11 +104,11 @@ FT_CLASSES = frozenset(
 #: but keeps its lint finding.
 _ACCOUNTED = FT_CLASSES - {"unsafe"}
 
-_FT_ANNOT_RE = re.compile(r"#\s*ft:\s*([a-z-]+)(?:\s*--\s*([^#]*))?")
-
 #: The failure-handling scope: directories whose except handlers, wait
 #: loops and injection surfaces belong to the recovery proof.
-_SCOPE_DIRS = ("replication/", "fleet/", "faultinject/", "traffic/")
+FTCOV_SCOPE = ("replication/", "fleet/", "faultinject/", "traffic/")
+
+_UNANNOTATED = Annotation(None, None)
 
 #: Words in a while-test that mark the wait as deadline-bounded.
 _DEADLINE_WORDS = ("now", "deadline", "until", "remaining", "budget")
@@ -175,7 +173,7 @@ class FtInventory:
     armed_points: set[str] = dc_field(default_factory=set)
     #: Edges claimed by at least one fleet scenario (runtime).
     claimed_edges: set[str] = dc_field(default_factory=set)
-    #: Parse failures and structural problems found while building.
+    #: Structural problems (malformed declarations) found while building.
     problems: list[str] = dc_field(default_factory=list)
 
     def add(self, site: FtSite) -> None:
@@ -183,62 +181,9 @@ class FtInventory:
         self.by_path.setdefault(site.path, []).append(site)
 
 
-def _pkg_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def load_ftcov_sources(
-    overrides: Mapping[str, str] | None = None,
-) -> dict[str, str]:
-    """The failure-handling scope as ``display path -> text``; *overrides*
-    swaps in synthetic sources by path suffix, exactly like the ndflow
-    loader."""
-    root = _pkg_root()
-    rels = sorted(
-        str(p.relative_to(root)).replace("\\", "/")
-        for p in root.rglob("*.py")
-        if "__pycache__" not in p.parts
-        and str(p.relative_to(root)).replace("\\", "/").startswith(_SCOPE_DIRS)
-    )
-    out: dict[str, str] = {}
-    for rel in rels:
-        text = None
-        if overrides:
-            for key, value in overrides.items():
-                norm = key.replace("\\", "/")
-                if norm == rel or norm.endswith("/" + rel):
-                    text = value
-                    break
-        if text is None:
-            text = (root / rel).read_text()
-        out[f"src/repro/{rel}"] = text
-    if overrides:
-        for key, value in overrides.items():
-            norm = key.replace("\\", "/")
-            if not any(norm == rel or norm.endswith("/" + rel)
-                       for rel in rels):
-                out[norm] = value
-    return out
-
-
 # --------------------------------------------------------------------------- #
 # Layer 1 — inventory                                                         #
 # --------------------------------------------------------------------------- #
-
-
-def _annotation_on_line(
-    lines: list[str], lineno: int
-) -> tuple[str | None, str | None]:
-    """The ``ft:`` annotation on exactly *lineno* — one site, one line."""
-    if not 1 <= lineno <= len(lines):
-        return None, None
-    match = _FT_ANNOT_RE.search(lines[lineno - 1])
-    if match:
-        why = match.group(2)
-        return match.group(1), why.strip() if why else None
-    return None, None
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -273,14 +218,9 @@ def _coverage_hook(body: list[ast.stmt], kind: str) -> str | None:
 def _render_caught(handler: ast.ExceptHandler) -> str:
     if handler.type is None:
         return "bare except"
-    def one(node: ast.AST) -> str:
-        try:
-            return ast.unparse(node)
-        except Exception:
-            return "<?>"
     if isinstance(handler.type, ast.Tuple):
-        return ", ".join(one(el) for el in handler.type.elts)
-    return one(handler.type)
+        return ", ".join(ast.unparse(el) for el in handler.type.elts)
+    return ast.unparse(handler.type)
 
 
 _BROAD_NAMES = frozenset({"Exception", "BaseException"})
@@ -370,31 +310,20 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
     except Exception:  # pragma: no cover - registry import is load-bearing
         runtime_registry = set()
 
-    parsed: dict[str, tuple[ast.Module, list[str]]] = {}
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            inv.problems.append(f"{path}:{exc.lineno or 0}: {exc.msg}")
-            continue
-        parsed[path] = (tree, text.splitlines())
+    parsed = {
+        file.path: (file.module, file.annotations("ft"))
+        for file in SourceTree.of(sources).scope(*FTCOV_SCOPE).files()
+        if file.module is not None  # the selfcheck reports parse failures
+    }
 
     # Pass 1: registry entries, MEMBER_STATES / MEMBER_EDGES declarations.
-    for path, (tree, lines) in parsed.items():
+    for path, (tree, annotations) in parsed.items():
         for node in tree.body:
             # Registry declarations are annotated (``FAULT_POINTS: dict[...]
             # = {...}``); MEMBER_* tuples are plain assigns.
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                target = node.target
-            else:
-                continue
-            if not isinstance(target, ast.Name):
-                continue
+            name = assigned_name(node)
             if (
-                target.id in ("FAULT_POINTS", "FLEET_FAULT_POINTS")
+                name in ("FAULT_POINTS", "FLEET_FAULT_POINTS")
                 and path.endswith("faultinject/points.py")
                 and isinstance(node.value, ast.Dict)
             ):
@@ -403,23 +332,23 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                             and isinstance(key.value, str)):
                         continue
                     inv.registry.add(key.value)
-                    annotated, why = _annotation_on_line(lines, key.lineno)
+                    ann = annotations.get(key.lineno, _UNANNOTATED)
                     inv.add(FtSite(
                         kind="point", path=path, line=key.lineno,
                         col=key.col_offset, node=key, name=key.value,
-                        annotated=annotated, why=why,
+                        annotated=ann.cls, why=ann.why,
                         auto=("exercised" if key.value in inv.armed_points
                               else None),
                     ))
             elif (
-                target.id == "MEMBER_STATES"
+                name == "MEMBER_STATES"
                 and path.endswith("fleet/controller.py")
             ):
                 states = _parse_string_tuple(node.value)
                 if states:
                     inv.member_states.update(states)
             elif (
-                target.id == "MEMBER_EDGES"
+                name == "MEMBER_EDGES"
                 and path.endswith("fleet/controller.py")
                 and isinstance(node.value, (ast.Tuple, ast.List))
             ):
@@ -439,17 +368,17 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                             f"entry {name}"
                         )
                     inv.declared_edges.add(name)
-                    annotated, why = _annotation_on_line(lines, el.lineno)
+                    ann = annotations.get(el.lineno, _UNANNOTATED)
                     inv.add(FtSite(
                         kind="edge", path=path, line=el.lineno,
                         col=el.col_offset, node=el, name=name,
-                        annotated=annotated, why=why,
+                        annotated=ann.cls, why=ann.why,
                         auto=("exercised" if name in inv.claimed_edges
                               else None),
                     ))
 
     # Pass 2: call sites, handlers, injects, loops, knobs.
-    for path, (tree, lines) in parsed.items():
+    for path, (tree, annotations) in parsed.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 cname = _call_name(node)
@@ -462,12 +391,12 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                             f"cannot account for it"
                         )
                         continue
-                    annotated, why = _annotation_on_line(lines, node.lineno)
+                    ann = annotations.get(node.lineno, _UNANNOTATED)
                     inv.add(FtSite(
                         kind="point-site", path=path, line=node.lineno,
                         col=node.col_offset, node=node, name=name,
                         registered=name in runtime_registry,
-                        annotated=annotated, why=why, auto="exercised",
+                        annotated=ann.cls, why=ann.why, auto="exercised",
                     ))
                 elif cname == "_set_state" and len(node.args) >= 2:
                     state = _str_arg(node, 1)
@@ -478,18 +407,18 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                             f"cannot account for it"
                         )
                         continue
-                    annotated, why = _annotation_on_line(lines, node.lineno)
+                    ann = annotations.get(node.lineno, _UNANNOTATED)
                     inv.add(FtSite(
                         kind="setstate", path=path, line=node.lineno,
                         col=node.col_offset, node=node, name=state,
-                        annotated=annotated, why=why, auto="exercised",
+                        annotated=ann.cls, why=ann.why, auto="exercised",
                     ))
             elif isinstance(node, ast.ExceptHandler):
                 hook = _coverage_hook(node.body, "handler")
                 reraises = any(
                     isinstance(sub, ast.Raise) for sub in ast.walk(node)
                 )
-                annotated, why = _annotation_on_line(lines, node.lineno)
+                ann = annotations.get(node.lineno, _UNANNOTATED)
                 name = hook if hook is not None else (
                     f"except@{node.lineno}"
                 )
@@ -498,7 +427,7 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                     col=node.col_offset, node=node, name=name, hook=hook,
                     broad=_is_broad(node), reraises=reraises,
                     extra=_render_caught(node),
-                    annotated=annotated, why=why,
+                    annotated=ann.cls, why=ann.why,
                     auto="exercised" if hook is not None else None,
                 ))
             elif (
@@ -506,11 +435,11 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                 and node.name.startswith("inject_")
             ):
                 hook = _coverage_hook(node.body, "inject")
-                annotated, why = _annotation_on_line(lines, node.lineno)
+                ann = annotations.get(node.lineno, _UNANNOTATED)
                 inv.add(FtSite(
                     kind="inject", path=path, line=node.lineno,
                     col=node.col_offset, node=node, name=node.name,
-                    hook=hook, annotated=annotated, why=why,
+                    hook=hook, annotated=ann.cls, why=ann.why,
                     auto="exercised" if hook is not None else None,
                 ))
             elif isinstance(node, ast.While):
@@ -523,30 +452,25 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                     continue
                 if any(isinstance(sub, ast.Break) for sub in ast.walk(node)):
                     continue
-                annotated, why = _annotation_on_line(lines, node.lineno)
+                ann = annotations.get(node.lineno, _UNANNOTATED)
                 inv.add(FtSite(
                     kind="loop", path=path, line=node.lineno,
                     col=node.col_offset, node=node,
                     name=f"while@{node.lineno}",
-                    annotated=annotated, why=why, auto=None,
+                    annotated=ann.cls, why=ann.why, auto=None,
                 ))
         for node in tree.body:
+            name = assigned_name(node)
             if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id.startswith("UNSAFE_")
+                name is not None and name.startswith("UNSAFE_")
                 and isinstance(node.value, ast.Constant)
             ):
-                annotated, why = _annotation_on_line(
-                    parsed[path][1], node.lineno
-                )
+                ann = annotations.get(node.lineno, _UNANNOTATED)
                 inv.add(FtSite(
                     kind="knob", path=path, line=node.lineno,
-                    col=node.col_offset, node=node,
-                    name=node.targets[0].id,
+                    col=node.col_offset, node=node, name=name,
                     extra=str(node.value.value),
-                    annotated=annotated, why=why, auto=None,
+                    annotated=ann.cls, why=ann.why, auto=None,
                 ))
     return inv
 
@@ -570,31 +494,16 @@ def ftcov_selfcheck(
     its missing scenario.  *dispositions* maps each site to its class —
     the auditable inventory the CLI prints.
     """
-    if sources is None:
-        sources = load_ftcov_sources()
-    inv = build_ft_inventory(sources)
-    problems = list(inv.problems)
+    tree = SourceTree.of(sources if sources is not None else SourceTree.load())
+    tree = tree.scope(*FTCOV_SCOPE)
+    inv = build_ft_inventory(tree)
 
     inventoried: dict[str, set[int]] = {}
     for site in inv.sites:
         inventoried.setdefault(site.path, set()).add(site.line)
-
-    for path in sorted(sources):
-        for lineno, line in enumerate(sources[path].splitlines(), start=1):
-            match = _FT_ANNOT_RE.search(line)
-            if match is None:
-                continue
-            if match.group(1) not in FT_CLASSES:
-                problems.append(
-                    f"{path}:{lineno}: unknown ft class '{match.group(1)}' "
-                    f"(use {', '.join(sorted(FT_CLASSES))})"
-                )
-            if lineno not in inventoried.get(path, ()):
-                problems.append(
-                    f"{path}:{lineno}: 'ft:' annotation is not on an "
-                    f"inventoried failure-handling site — it classifies "
-                    f"nothing"
-                )
+    problems = tree.parse_problems() + inv.problems + annotation_problems(
+        tree, "ft", FT_CLASSES, inventoried,
+        "an inventoried failure-handling site")
 
     to_states = {edge.split("->", 1)[1] for edge in inv.declared_edges}
     for site in inv.sites:
@@ -605,8 +514,6 @@ def ftcov_selfcheck(
                 f"or give it a dynamic witness (coverage hook / catalog "
                 f"reference)"
             )
-        elif site.ft_class not in FT_CLASSES:
-            pass  # unknown vocabulary already reported above
         if site.kind == "point-site" and site.registered is False:
             problems.append(
                 f"{site.path}:{site.line}: fault_point('{site.name}') is "
@@ -651,133 +558,70 @@ def ftcov_selfcheck(
 # --------------------------------------------------------------------------- #
 
 
-class _FtcRule(Rule):
-    """Whole-program recovery-coverage rule: registered for id/severity
-    bookkeeping; the ftcov driver invokes :meth:`check` per file with the
-    full inventory (same pattern as the NDF rules)."""
-
-    severity = "warning"
-    interests: tuple[type, ...] = (ast.Module,)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check(
-        self, ctx: LintContext, sites: Sequence[FtSite],
-        inventory: FtInventory,
-    ) -> Iterator[Finding]:
-        return iter(())
-
-
-@register
-class SwallowedRecoveryException(_FtcRule):
+class SwallowedRecoveryException(InventoryRule):
     rule_id = "FTC001"
-    summary = ("broad except on a recovery path swallows the failure — no "
-               "re-raise, no coverage hook, no declared class; a masked "
-               "fault here ships a silent correctness gap")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind != "handler" or not site.broad:
-                continue
-            if site.reraises or site.accounted:
-                continue
-            yield self.finding(
-                ctx, site.node,
-                f"broad except ({site.extra}) on a recovery path swallows "
-                f"failures without re-raise or coverage hook — classify it "
-                f"('# ft: <class> -- why') or re-raise",
-            )
+    def message(self, site, inventory):
+        if (site.kind == "handler" and site.broad and not site.reraises
+                and not site.accounted):
+            return (f"broad except ({site.extra}) on a recovery path swallows "
+                    f"failures without re-raise or coverage hook — classify it "
+                    f"('# ft: <class> -- why') or re-raise")
 
 
-@register
-class UnarmedFaultPoint(_FtcRule):
+class UnarmedFaultPoint(InventoryRule):
     rule_id = "FTC002"
-    summary = ("registered fault point armed by zero catalog scenarios "
-               "(or an UNSAFE_* knob that can drop one) — its failure "
-               "mode has no dynamic witness")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind == "point" and not (
-                site.accounted or site.name in inventory.armed_points
-            ):
-                yield self.finding(
-                    ctx, site.node,
-                    f"registered fault point '{site.name}' is armed by "
+    def message(self, site, inventory):
+        if site.kind == "point" and not (
+            site.accounted or site.name in inventory.armed_points
+        ):
+            return (f"registered fault point '{site.name}' is armed by "
                     f"zero catalog scenarios — its failure mode is "
                     f"untested; add a scenario that arms it or remove the "
-                    f"registry entry",
-                )
-            elif site.kind == "knob" and not site.accounted:
-                yield self.finding(
-                    ctx, site.node,
-                    f"catalog knob {site.name} can drop scenario "
+                    f"registry entry")
+        if site.kind == "knob" and not site.accounted:
+            return (f"catalog knob {site.name} can drop scenario "
                     f"'{site.extra}' from the fault-injection catalog — a "
                     f"dropped scenario's fault points lose their only "
-                    f"dynamic witness",
-                )
+                    f"dynamic witness")
 
 
-@register
-class UnclaimedStateEdge(_FtcRule):
+class UnclaimedStateEdge(InventoryRule):
     rule_id = "FTC003"
-    summary = ("declared state-machine edge claimed by no fleet "
-               "scenario's edges declaration — no campaign drives the "
-               "transition")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind != "edge" or site.accounted:
-                continue
-            if site.name in inventory.claimed_edges:
-                continue
-            yield self.finding(
-                ctx, site.node,
-                f"state-machine edge {site.name} is claimed by no fleet "
-                f"scenario — no campaign drives this transition; add a "
-                f"scenario declaring edges=({site.name!r},) or file the "
-                f"gap with '# ft: backlog -- scenario: <name>'",
-            )
+    def message(self, site, inventory):
+        if (site.kind == "edge" and not site.accounted
+                and site.name not in inventory.claimed_edges):
+            return (f"state-machine edge {site.name} is claimed by no fleet "
+                    f"scenario — no campaign drives this transition; add a "
+                    f"scenario declaring edges=({site.name!r},) or file the "
+                    f"gap with '# ft: backlog -- scenario: <name>'")
 
 
-@register
-class UnboundedWaitLoop(_FtcRule):
+class UnboundedWaitLoop(InventoryRule):
     rule_id = "FTC004"
-    summary = ("wait loop with no deadline in its test and no break — a "
-               "silent hang here wedges recovery instead of failing it")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind != "loop" or site.accounted:
-                continue
-            yield self.finding(
-                ctx, site.node,
-                f"wait loop at {site.name} has no deadline in its test "
-                f"and no break — a silent hang here wedges recovery; "
-                f"bound it or annotate '# ft: bounded -- why'",
-            )
+    def message(self, site, inventory):
+        if site.kind == "loop" and not site.accounted:
+            return (f"wait loop at {site.name} has no deadline in its test "
+                    f"and no break — a silent hang here wedges recovery; "
+                    f"bound it or annotate '# ft: bounded -- why'")
 
 
-@register
-class UnobservableInject(_FtcRule):
+class UnobservableInject(InventoryRule):
     rule_id = "FTC005"
-    summary = ("inject_* entry point with no coverage_mark hook — no "
-               "oracle can prove any scenario exercises it")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind != "inject" or site.accounted:
-                continue
-            yield self.finding(
-                ctx, site.node,
-                f"{site.name}() is an inject entry point with no "
-                f"coverage_mark hook — no oracle can prove any scenario "
-                f"exercises it; add a hook or classify the site",
-            )
+    def message(self, site, inventory):
+        if site.kind == "inject" and not site.accounted:
+            return (f"{site.name}() is an inject entry point with no "
+                    f"coverage_mark hook — no oracle can prove any scenario "
+                    f"exercises it; add a hook or classify the site")
 
 
-FTCOV_RULE_IDS = ("FTC001", "FTC002", "FTC003", "FTC004", "FTC005")
+_RULES = (SwallowedRecoveryException, UnarmedFaultPoint, UnclaimedStateEdge,
+          UnboundedWaitLoop, UnobservableInject)
+FTCOV_RULE_IDS = tuple(rule.rule_id for rule in _RULES)
 
 
 # --------------------------------------------------------------------------- #
@@ -793,34 +637,22 @@ class FtcovReport:
     inventory: FtInventory = dc_field(default_factory=FtInventory)
 
 
-def analyze_ftcov(
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-    overrides: Mapping[str, str] | None = None,
-) -> FtcovReport:
-    """Run Layers 1+2: inventory, then the FTC rules over every file."""
-    rules = [
-        rule for rule in all_rules(select=select, ignore=ignore)
-        if isinstance(rule, _FtcRule)
-    ]
-    sources = load_ftcov_sources(overrides)
-    inventory = build_ft_inventory(sources)
-
-    findings: list[Finding] = []
-    for path in sorted(inventory.by_path):
-        text = sources.get(path)
-        if text is None:
-            continue
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue  # already recorded in inventory.problems
-        ctx = LintContext(path, text, tree)
-        per_file = inventory.by_path[path]
-        for rule in rules:
-            for finding in rule.check(ctx, per_file, inventory):
-                if not ctx.suppressed(finding.rule_id, finding.line):
-                    findings.append(finding)
+def _ftcov_report(sources: Mapping[str, str]) -> FtcovReport:
+    """Layers 1+2: inventory, then the FTC rules over every file."""
+    tree = SourceTree.of(sources)
+    inventory = build_ft_inventory(tree)
     return FtcovReport(
-        findings=sorted(findings, key=Finding.sort_key), inventory=inventory
+        findings=check_inventory(tree, _RULES, inventory.by_path, inventory),
+        inventory=inventory,
     )
+
+
+ANALYZER = Analyzer(
+    name="ftcov",
+    rules=FTCOV_RULE_IDS,
+    scope=FTCOV_SCOPE,
+    accounts_for="failure-surface site(s)",
+    check=ftcov_selfcheck,
+    build=_ftcov_report,
+)
+analyze_ftcov = ANALYZER.analyze

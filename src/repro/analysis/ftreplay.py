@@ -106,9 +106,10 @@ def crossref_coverage(
     passed), so the gap logic is unit-testable on synthetic counters.
     """
     if inventory is None:
-        from repro.analysis.ftcov import build_ft_inventory, load_ftcov_sources
+        from repro.analysis.framework import SourceTree
+        from repro.analysis.ftcov import build_ft_inventory
 
-        inventory = build_ft_inventory(load_ftcov_sources())
+        inventory = build_ft_inventory(SourceTree.load())
 
     gaps: list[str] = []
     missing_scenarios: list[dict[str, str]] = []
@@ -211,6 +212,7 @@ def run_ftcov_record(
     fleet_scenarios: Iterable[str] | None = None,
     traffic_events: Iterable[str] | None = None,
     progress: Callable[[str], None] | None = None,
+    inventory: Any = None,
 ) -> dict[str, Any]:
     """Run the catalogs under one coverage recorder and gate on crossref.
 
@@ -224,7 +226,8 @@ def run_ftcov_record(
     crossref reports exactly the dropped scenario's fired gap.
 
     The scenario subsets exist for the determinism test (same subset
-    twice -> identical digest), not for production use.
+    twice -> identical digest), not for production use.  *inventory* is
+    the static ftcov inventory to cross against (built fresh if None).
     """
     if knob is not None and knob not in FTCOV_KNOBS:
         raise KeyError(f"unknown ftcov knob {knob!r} (use {FTCOV_KNOBS})")
@@ -287,7 +290,7 @@ def run_ftcov_record(
             "violations": violations,
         })
 
-    crossref = crossref_coverage(recorder.counters)
+    crossref = crossref_coverage(recorder.counters, inventory)
     runs_ok = all(run["ok"] for run in runs)
 
     if knob == "drop-scenario":

@@ -6,6 +6,9 @@ every interested rule exactly once, so adding a rule never adds a tree
 traversal.  Rules that need whole-file context (e.g. CKPT001's field
 cross-check) can do their own scoped sub-walk from the node they receive.
 
+Files come from a :class:`~repro.analysis.framework.SourceTree`, so a
+file another analyzer already parsed is not parsed again.
+
 Suppression is per line, mirroring the repo's determinism doc::
 
     ino = stable_ino(path)  # nlint: disable=DET003  -- justification
@@ -18,28 +21,26 @@ itself deterministic — the tool practices what it preaches.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from repro.analysis.framework import SourceFile, SourceTree
+
 __all__ = [
     "Finding",
+    "InventoryRule",
     "LintContext",
     "Rule",
     "all_rules",
-    "lint_file",
+    "assigned_name",
+    "attr_chain",
+    "check_inventory",
     "lint_paths",
     "lint_source",
+    "lint_tree",
     "register",
 ]
-
-#: Matches ``# nlint: disable`` or ``# nlint: disable=ID1,ID2`` anywhere in
-#: a line (trailing prose after the IDs is allowed and encouraged).
-_SUPPRESS_RE = re.compile(r"#\s*nlint:\s*disable(?:=([A-Z0-9, ]+))?")
-
-#: Sentinel meaning "all rules suppressed on this line".
-_ALL = "*"
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,14 @@ class Finding:
 class LintContext:
     """Per-file state shared by all rules during one walk."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
-        self.path = path
+    def __init__(self, file: SourceFile) -> None:
+        self.file = file
+        self.path = file.path
         #: Normalized forward-slash path used for directory scoping.
-        self.norm_path = path.replace("\\", "/")
-        self.source = source
-        self.tree = tree
+        self.norm_path = file.path.replace("\\", "/")
         #: ``name -> dotted module path`` for every import binding, e.g.
         #: ``{"t": "time", "urandom": "os.urandom"}``.
         self.imports: dict[str, str] = {}
-        #: line number -> set of suppressed rule ids (or {_ALL}).
-        self.suppressions: dict[int, set[str]] = {}
         #: Stack of enclosing function definitions (innermost last).
         self.function_stack: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
         #: Parallel stack of "is a generator" flags.
@@ -91,7 +89,6 @@ class LintContext:
         self.class_stack: list[ast.ClassDef] = []
 
         self._collect_imports()
-        self._collect_suppressions()
 
     # -- scoping helpers -------------------------------------------------
     def in_dirs(self, *dirs: str) -> bool:
@@ -143,7 +140,7 @@ class LintContext:
 
     # -- internals -------------------------------------------------------
     def _collect_imports(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in ast.walk(self.file.module):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -154,22 +151,8 @@ class LintContext:
                     bound = alias.asname or alias.name
                     self.imports[bound] = f"{node.module}.{alias.name}"
 
-    def _collect_suppressions(self) -> None:
-        for lineno, text in enumerate(self.source.splitlines(), start=1):
-            match = _SUPPRESS_RE.search(text)
-            if match is None:
-                continue
-            ids = match.group(1)
-            if ids is None:
-                self.suppressions[lineno] = {_ALL}
-            else:
-                self.suppressions[lineno] = {
-                    part.strip() for part in ids.split(",") if part.strip()
-                }
-
     def suppressed(self, rule_id: str, line: int) -> bool:
-        ids = self.suppressions.get(line)
-        return ids is not None and (_ALL in ids or rule_id in ids)
+        return self.file.suppressed(rule_id, line)
 
 
 class Rule:
@@ -203,7 +186,44 @@ class Rule:
         )
 
 
-#: The pluggable registry: rule id -> rule class.
+class InventoryRule(Rule):
+    """A whole-program rule.  Its analyzer owns it (the rule is never in
+    :data:`REGISTRY`, so per-file linting never sees it) and feeds it the
+    analyzer's inventory: :func:`check_inventory` asks :meth:`message` about
+    each inventoried item; perf, whose rules need the hot function itself,
+    calls their own ``check``."""
+
+    severity = "warning"
+
+    def message(self, item, inventory) -> str | None:
+        """The finding text when *item* violates the rule, else None."""
+        raise NotImplementedError
+
+
+def check_inventory(
+    tree: SourceTree,
+    rules: Sequence[type[InventoryRule]],
+    by_path: dict[str, list],
+    inventory: object,
+) -> list[Finding]:
+    """Run whole-program *rules* over each file's inventoried items (each
+    item carries the ``node`` its finding anchors to), suppressions
+    applied."""
+    instances = [rule() for rule in rules]
+    findings: list[Finding] = []
+    for path in sorted(by_path):
+        ctx = LintContext(tree.file(path))
+        for rule in instances:
+            for item in by_path[path]:
+                message = rule.message(item, inventory)
+                if message is not None:
+                    finding = rule.finding(ctx, item.node, message)
+                    if not ctx.suppressed(finding.rule_id, finding.line):
+                        findings.append(finding)
+    return sorted(findings, key=Finding.sort_key)
+
+
+#: The per-file rule registry: rule id -> rule class.
 REGISTRY: dict[str, type[Rule]] = {}
 
 
@@ -261,6 +281,29 @@ def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def assigned_name(stmt: ast.AST) -> str | None:
+    """The name a single-target ``X = v`` or ``X: T = v`` statement binds."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        target = stmt.target
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def attr_chain(node: ast.AST) -> str | None:
+    """``a.b.c`` as a dotted string, or None for non-trivial bases."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
 class _Walker(ast.NodeVisitor):
     """Single-pass dispatcher feeding every rule its interesting nodes."""
 
@@ -305,52 +348,34 @@ class _Walker(ast.NodeVisitor):
             self.ctx.class_stack.pop()
 
 
+def lint_tree(tree: SourceTree, rules: Sequence[Rule] | None = None) -> list[Finding]:
+    """Lint every file of *tree*; deterministic ordering."""
+    if rules is None:
+        rules = all_rules()
+    findings: list[Finding] = []
+    for file in tree.files():
+        if file.module is None:
+            exc = file.syntax_error
+            findings.append(Finding(
+                rule_id="E999", path=file.path, line=exc.lineno or 1,
+                col=exc.offset or 0, message=f"syntax error: {exc.msg}",
+            ))
+            continue
+        walker = _Walker(rules, LintContext(file))
+        walker.visit(file.module)
+        findings.extend(walker.findings)
+    return sorted(findings, key=Finding.sort_key)
+
+
 def lint_source(
     source: str, path: str = "<string>", rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
     """Lint one source string (the unit-test entry point)."""
-    if rules is None:
-        rules = all_rules()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule_id="E999",
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = LintContext(path, source, tree)
-    walker = _Walker(rules, ctx)
-    walker.visit(tree)
-    return sorted(walker.findings, key=Finding.sort_key)
-
-
-def lint_file(path: Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
-    return lint_source(path.read_text(encoding="utf-8"), str(path), rules)
+    return lint_tree(SourceTree([SourceFile(path, source, path)]), rules)
 
 
 def lint_paths(
     paths: Sequence[str | Path], rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
     """Lint files and directories (recursively); deterministic ordering."""
-    if rules is None:
-        rules = all_rules()
-    files: list[Path] = []
-    for entry in paths:
-        p = Path(entry)
-        if p.is_dir():
-            files.extend(
-                f for f in sorted(p.rglob("*.py")) if "__pycache__" not in f.parts
-            )
-        elif p.is_file():
-            files.append(p)
-        else:
-            raise FileNotFoundError(f"no such file or directory: {p}")
-    findings: list[Finding] = []
-    for f in files:
-        findings.extend(lint_file(f, rules))
-    return sorted(findings, key=Finding.sort_key)
+    return lint_tree(SourceTree.from_paths(paths), rules)

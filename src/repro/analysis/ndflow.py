@@ -29,8 +29,8 @@ Three layers:
   the static inventory and carry no annotation, and — the drift guard for
   the PR 5 bug class — any module-level ``itertools.count`` in ``repro.*``
   that is not rewound by ``reset_id_counters()`` (``net/world.py``).
-* **Layer 2 — NDF rules.**  NDF001–NDF005 below ride the standard nlint
-  machinery (:class:`~repro.analysis.linter.Finding`, per-line
+* **Layer 2 — NDF rules.**  NDF001–NDF005 below ride the shared analyzer
+  frame (:class:`~repro.analysis.linter.Finding`, per-line
   suppressions, ``--select``/``--ignore``, the shared baseline gate with
   ``ndflow-baseline.json``).  A source annotated with an accepted class is
   *accounted* and not flagged; one annotated ``unsafe`` stays flagged —
@@ -57,20 +57,24 @@ NDF005    warning  one stream-name literal used from several modules with
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
+from repro.analysis.framework import (
+    Analyzer,
+    SourceTree,
+    annotation_problems,
+)
 from repro.analysis.linter import (
     Finding,
-    LintContext,
-    Rule,
-    all_rules,
-    register,
+    InventoryRule,
+    assigned_name,
+    attr_chain,
+    check_inventory,
 )
 
 __all__ = [
+    "ANALYZER",
     "ND_CLASSES",
     "NDFLOW_RULE_IDS",
     "NdInventory",
@@ -78,7 +82,6 @@ __all__ = [
     "NdflowReport",
     "analyze_ndflow",
     "build_nd_inventory",
-    "load_ndflow_sources",
     "ndflow_selfcheck",
 ]
 
@@ -102,8 +105,6 @@ ND_CLASSES = frozenset(
 #: deliberately absent: a declared hazard is accounted in the selfcheck
 #: but keeps its lint finding.
 _ACCOUNTED = ND_CLASSES - {"unsafe"}
-
-_ND_ANNOT_RE = re.compile(r"#\s*nd:\s*([a-z-]+)(?:\s*--\s*([^#]*))?")
 
 #: Draw methods of :class:`random.Random` (and the NDLog stream wrappers).
 _DRAW_METHODS = frozenset(
@@ -169,51 +170,10 @@ class NdInventory:
     registered_counters: set[tuple[str, str]] = dc_field(default_factory=set)
     #: Literal stream name -> paths of the call sites using it.
     literal_streams: dict[str, set[str]] = dc_field(default_factory=dict)
-    #: Parse failures and structural problems found while building.
-    problems: list[str] = dc_field(default_factory=list)
 
     def add(self, source: NdSource) -> None:
         self.sources.append(source)
         self.by_path.setdefault(source.path, []).append(source)
-
-
-def _pkg_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def load_ndflow_sources(
-    overrides: Mapping[str, str] | None = None,
-) -> dict[str, str]:
-    """All ``repro.*`` sources as ``display path -> text`` (the whole
-    package — provenance has no "cold" files); *overrides* swaps in
-    synthetic sources by path suffix, exactly like the perf loader."""
-    root = _pkg_root()
-    rels = sorted(
-        str(p.relative_to(root)).replace("\\", "/")
-        for p in root.rglob("*.py")
-        if "__pycache__" not in p.parts
-    )
-    out: dict[str, str] = {}
-    for rel in rels:
-        text = None
-        if overrides:
-            for key, value in overrides.items():
-                norm = key.replace("\\", "/")
-                if norm == rel or norm.endswith("/" + rel):
-                    text = value
-                    break
-        if text is None:
-            text = (root / rel).read_text()
-        out[f"src/repro/{rel}"] = text
-    if overrides:
-        for key, value in overrides.items():
-            norm = key.replace("\\", "/")
-            if not any(norm == rel or norm.endswith("/" + rel)
-                       for rel in rels):
-                out[norm] = value
-    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -221,106 +181,48 @@ def load_ndflow_sources(
 # --------------------------------------------------------------------------- #
 
 
-def _attr_chain(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _render_stream_name(arg: ast.AST) -> tuple[str, bool]:
     """``(display name, dynamic?)`` for a stream-name argument."""
     if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
         return arg.value, False
     if isinstance(arg, ast.JoinedStr):
-        parts: list[str] = []
-        for piece in arg.values:
-            if isinstance(piece, ast.Constant):
-                parts.append(str(piece.value))
-            else:
-                try:
-                    parts.append("{" + ast.unparse(piece.value) + "}")
-                except Exception:
-                    parts.append("{...}")
-        return "".join(parts), True
-    try:
-        return ast.unparse(arg), True
-    except Exception:
-        return "<dynamic>", True
+        return "".join(
+            str(piece.value) if isinstance(piece, ast.Constant)
+            else "{" + ast.unparse(piece.value) + "}"
+            for piece in arg.values
+        ), True
+    return ast.unparse(arg), True
 
 
 def _exempt_spans(tree: ast.Module) -> list[tuple[int, int]]:
     """Line spans of classes marked ``__nd_exempt__ = True``."""
     spans: list[tuple[int, int]] = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == "__nd_exempt__"
-            ):
-                spans.append((node.lineno, node.end_lineno or node.lineno))
-                break
+        if isinstance(node, ast.ClassDef) and any(
+            assigned_name(stmt) == "__nd_exempt__" for stmt in node.body
+        ):
+            spans.append((node.lineno, node.end_lineno or node.lineno))
     return spans
 
 
-def _in_spans(line: int, spans: list[tuple[int, int]]) -> bool:
-    return any(lo <= line <= hi for lo, hi in spans)
-
-
-def _annotation_on(
-    lines: list[str], node: ast.AST
-) -> tuple[str | None, str | None]:
+def _annotation_on(annotations, node: ast.AST):
     """The ``nd:`` annotation on any line of *node*'s span (so multi-line
     call sites can carry the comment on the argument line)."""
     start = getattr(node, "lineno", 0)
     stop = getattr(node, "end_lineno", None) or start
-    for lineno in range(start, stop + 1):
-        if not 1 <= lineno <= len(lines):
-            continue
-        match = _ND_ANNOT_RE.search(lines[lineno - 1])
-        if match:
-            why = match.group(2)
-            return match.group(1), why.strip() if why else None
-    return None, None
+    return next((annotations[line] for line in range(start, stop + 1)
+                 if line in annotations), None)
 
 
 def _parse_stream_owners(tree: ast.Module) -> dict[str, str]:
     for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "STREAM_OWNERS"
-        ):
-            value = node.value
-        elif (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and node.target.id == "STREAM_OWNERS"
-            and node.value is not None
-        ):
-            value = node.value
-        else:
-            continue
-        if isinstance(value, ast.Dict):
-            out: dict[str, str] = {}
-            for key, val in zip(value.keys, value.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(val, ast.Constant)
-                    and isinstance(val.value, str)
-                ):
-                    out[key.value] = val.value
-            return out
+        if assigned_name(node) == "STREAM_OWNERS" and isinstance(node.value, ast.Dict):
+            return {
+                key.value: val.value
+                for key, val in zip(node.value.keys, node.value.values)
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(val, ast.Constant) and isinstance(val.value, str)
+            }
     return {}
 
 
@@ -398,7 +300,7 @@ def _stream_derived_names(tree: ast.Module) -> set[str]:
             if isinstance(target, ast.Name):
                 out.add(target.id)
             else:
-                chain = _attr_chain(target)
+                chain = attr_chain(target)
                 if chain is not None:
                     out.add(chain)
     return out
@@ -415,32 +317,24 @@ def _random_aliases(tree: ast.Module) -> set[str]:
 
 
 def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
-    """Layer 1: enumerate and classify every nondeterminism source."""
+    """Layer 1: enumerate and classify every nondeterminism source of
+    *sources* (a tree, or display path -> text)."""
     inv = NdInventory()
+    files = SourceTree.of(sources).files()
 
-    for path in sorted(sources):
-        if path.endswith("sim/rng.py"):
-            try:
-                inv.stream_owners = _parse_stream_owners(
-                    ast.parse(sources[path]))
-            except SyntaxError:
-                pass
-        if path.endswith("net/world.py"):
-            try:
-                inv.registered_counters = _parse_registered_counters(
-                    ast.parse(sources[path]))
-            except SyntaxError:
-                pass
-
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            inv.problems.append(
-                f"{path}:{exc.lineno}: does not parse: {exc.msg}")
+    for file in files:
+        if file.module is None:
             continue
-        lines = text.splitlines()
+        if file.path.endswith("sim/rng.py"):
+            inv.stream_owners = _parse_stream_owners(file.module)
+        if file.path.endswith("net/world.py"):
+            inv.registered_counters = _parse_registered_counters(file.module)
+
+    for file in files:
+        path, tree = file.path, file.module
+        if tree is None:
+            continue  # the selfcheck reports it
+        annotations = file.annotations("nd")
         spans = _exempt_spans(tree)
         stream_bound = _stream_derived_names(tree)
         random_imports = _random_aliases(tree)
@@ -450,11 +344,13 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
         def add(kind: str, node: ast.AST, name: str, *, dynamic: bool = False,
                 auto: str | None = None,
                 registered: bool | None = None) -> NdSource:
-            annotated, why = _annotation_on(lines, node)
+            annotation = _annotation_on(annotations, node)
             src = NdSource(
                 kind=kind, path=path, line=node.lineno,
                 col=getattr(node, "col_offset", 0), node=node, name=name,
-                dynamic=dynamic, annotated=annotated, why=why, auto=auto,
+                dynamic=dynamic,
+                annotated=annotation.cls if annotation else None,
+                why=annotation.why if annotation else None, auto=auto,
                 registered=registered,
             )
             inv.add(src)
@@ -484,7 +380,8 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
                 )
 
         for node in ast.walk(tree):
-            if _in_spans(getattr(node, "lineno", 0), spans):
+            line = getattr(node, "lineno", 0)
+            if any(lo <= line <= hi for lo, hi in spans):
                 continue
 
             # Tie-break policies: any class with key(self, ctx_serial).
@@ -538,7 +435,7 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
 
             # Raw entropy: random.Random(...) / random.<fn>(...) or names
             # imported from the random module.
-            chain = _attr_chain(func)
+            chain = attr_chain(func)
             bare = func.id if isinstance(func, ast.Name) else None
             if not is_rng_module and (
                 (chain is not None and chain.split(".", 1)[0] == "random"
@@ -554,7 +451,7 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
                 and func.attr in _DRAW_METHODS
             ):
                 receiver = func.value
-                rchain = _attr_chain(receiver)
+                rchain = attr_chain(receiver)
                 derived = rchain in stream_bound or any(
                     isinstance(sub, ast.Call)
                     and isinstance(sub.func, ast.Attribute)
@@ -588,33 +485,17 @@ def ndflow_selfcheck(
     (or explicitly exempt).  *dispositions* maps each source to its class
     — the auditable inventory the CLI prints.
     """
-    if sources is None:
-        sources = load_ndflow_sources()
-    inv = build_nd_inventory(sources)
-    problems = list(inv.problems)
+    tree = SourceTree.of(sources if sources is not None else SourceTree.load())
+    inv = build_nd_inventory(tree)
 
     inventoried: dict[str, set[int]] = {}
     for src in inv.sources:
         stop = getattr(src.node, "end_lineno", None) or src.line
         inventoried.setdefault(src.path, set()).update(
             range(src.line, stop + 1))
-
-    for path in sorted(sources):
-        for lineno, line in enumerate(sources[path].splitlines(), start=1):
-            match = _ND_ANNOT_RE.search(line)
-            if match is None:
-                continue
-            if match.group(1) not in ND_CLASSES:
-                problems.append(
-                    f"{path}:{lineno}: unknown nd class '{match.group(1)}' "
-                    f"(use {', '.join(sorted(ND_CLASSES))})"
-                )
-            if lineno not in inventoried.get(path, ()):
-                problems.append(
-                    f"{path}:{lineno}: 'nd:' annotation is not on an "
-                    f"inventoried nondeterminism source — it classifies "
-                    f"nothing"
-                )
+    problems = tree.parse_problems() + annotation_problems(
+        tree, "nd", ND_CLASSES, inventoried,
+        "an inventoried nondeterminism source")
 
     for src in inv.sources:
         if src.nd_class is None:
@@ -650,129 +531,69 @@ def ndflow_selfcheck(
 # --------------------------------------------------------------------------- #
 
 
-class _NdfRule(Rule):
-    """Whole-program provenance rule: registered for id/severity
-    bookkeeping; the ndflow driver invokes :meth:`check` per file with the
-    full inventory (same pattern as the PERF rules)."""
-
-    severity = "warning"
-    interests: tuple[type, ...] = (ast.Module,)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check(
-        self, ctx: LintContext, sources: Sequence[NdSource],
-        inventory: NdInventory,
-    ) -> Iterator[Finding]:
-        return iter(())
-
-
-@register
-class BareEntropy(_NdfRule):
+class BareEntropy(InventoryRule):
     rule_id = "NDF001"
-    summary = ("bare random.Random / random.* entropy outside sim/rng.py "
-               "with no declared provenance; a backup-side replay cannot "
-               "reproduce its draws — use a named RngRegistry stream")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind != "global-random" or src.accounted:
-                continue
-            yield self.finding(
-                ctx, src.node,
-                f"{src.name}() draws entropy outside the registry; the "
-                f"NDLog never sees it, so deterministic replay breaks — "
-                f"route through world.rng.stream(<name>) or declare "
-                f"provenance with an 'nd:' annotation",
-            )
+    def message(self, src, inventory):
+        if src.kind == "global-random" and not src.accounted:
+            return (f"{src.name}() draws entropy outside the registry; the "
+                    f"NDLog never sees it, so deterministic replay breaks — "
+                    f"route through world.rng.stream(<name>) or declare "
+                    f"provenance with an 'nd:' annotation")
 
 
-@register
-class DynamicStreamName(_NdfRule):
+class DynamicStreamName(InventoryRule):
     rule_id = "NDF002"
-    summary = ("dynamic (f-string/computed) stream name defeats the static "
-               "nondeterminism inventory; annotate the call site or use a "
-               "literal name")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind not in ("stream", "spawn") or not src.dynamic:
-                continue
-            if src.annotated is not None and src.annotated in _ACCOUNTED:
-                continue
-            yield self.finding(
-                ctx, src.node,
-                f"stream name {src.name!r} is computed at runtime — the "
-                f"static inventory cannot enumerate it; add an 'nd:' "
-                f"annotation naming its class (or use a literal)",
-            )
+    def message(self, src, inventory):
+        if (src.kind in ("stream", "spawn") and src.dynamic
+                and src.annotated not in _ACCOUNTED):
+            return (f"stream name {src.name!r} is computed at runtime — the "
+                    f"static inventory cannot enumerate it; add an 'nd:' "
+                    f"annotation naming its class (or use a literal)")
 
 
-@register
-class UnroutedControlPathDraw(_NdfRule):
+class UnroutedControlPathDraw(InventoryRule):
     rule_id = "NDF003"
-    summary = ("RNG draw in a replication/fleet control path not routed "
-               "through a named registry stream; the replay log misses it")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind != "draw" or src.accounted:
-                continue
-            yield self.finding(
-                ctx, src.node,
-                f"{src.name}() draws from a generator the NDLog does not "
-                f"wrap, inside a replication/fleet control path — replay "
-                f"on the backup would diverge; draw from a named "
-                f"world.rng stream instead",
-            )
+    def message(self, src, inventory):
+        if src.kind == "draw" and not src.accounted:
+            return (f"{src.name}() draws from a generator the NDLog does not "
+                    f"wrap, inside a replication/fleet control path — replay "
+                    f"on the backup would diverge; draw from a named "
+                    f"world.rng stream instead")
 
 
-@register
-class UnregisteredCounter(_NdfRule):
+class UnregisteredCounter(InventoryRule):
     rule_id = "NDF004"
-    summary = ("module-level itertools.count not registered in "
-               "reset_id_counters(); ids drift across same-process runs "
-               "and leak into checkpoint digests")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind != "counter" or src.registered or src.accounted:
-                continue
-            yield self.finding(
-                ctx, src.node,
-                f"id counter '{src.name}' is never rewound by "
-                f"reset_id_counters(); a second same-seed run hands out "
-                f"different ids and digests diverge — register it in "
-                f"net/world.py",
-            )
+    def message(self, src, inventory):
+        if src.kind == "counter" and not src.registered and not src.accounted:
+            return (f"id counter '{src.name}' is never rewound by "
+                    f"reset_id_counters(); a second same-seed run hands out "
+                    f"different ids and digests diverge — register it in "
+                    f"net/world.py")
 
 
-@register
-class SharedStreamName(_NdfRule):
+class SharedStreamName(InventoryRule):
     rule_id = "NDF005"
-    summary = ("one stream-name literal used from several modules without "
-               "a STREAM_OWNERS entry; the call sites silently couple "
-               "their draw sequences")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind != "stream" or src.dynamic:
-                continue
-            users = inventory.literal_streams.get(src.name, set())
-            if len(users) < 2 or src.name in inventory.stream_owners:
-                continue
-            others = sorted(p for p in users if p != src.path)
-            yield self.finding(
-                ctx, src.node,
-                f"stream {src.name!r} is also drawn from "
+    def message(self, src, inventory):
+        if src.kind != "stream" or src.dynamic:
+            return None
+        users = inventory.literal_streams.get(src.name, set())
+        if len(users) < 2 or src.name in inventory.stream_owners:
+            return None
+        others = sorted(p for p in users if p != src.path)
+        return (f"stream {src.name!r} is also drawn from "
                 f"{', '.join(others)}; unrelated consumers of one stream "
                 f"perturb each other's sequences — declare an owner in "
-                f"sim/rng.py STREAM_OWNERS or pick a distinct name",
-            )
+                f"sim/rng.py STREAM_OWNERS or pick a distinct name")
 
 
-NDFLOW_RULE_IDS = ("NDF001", "NDF002", "NDF003", "NDF004", "NDF005")
+_RULES = (BareEntropy, DynamicStreamName, UnroutedControlPathDraw,
+          UnregisteredCounter, SharedStreamName)
+NDFLOW_RULE_IDS = tuple(rule.rule_id for rule in _RULES)
 
 
 # --------------------------------------------------------------------------- #
@@ -788,34 +609,22 @@ class NdflowReport:
     inventory: NdInventory = dc_field(default_factory=NdInventory)
 
 
-def analyze_ndflow(
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-    overrides: Mapping[str, str] | None = None,
-) -> NdflowReport:
-    """Run Layers 1+2: inventory, then the NDF rules over every file."""
-    rules = [
-        rule for rule in all_rules(select=select, ignore=ignore)
-        if isinstance(rule, _NdfRule)
-    ]
-    sources = load_ndflow_sources(overrides)
-    inventory = build_nd_inventory(sources)
-
-    findings: list[Finding] = []
-    for path in sorted(inventory.by_path):
-        text = sources.get(path)
-        if text is None:
-            continue
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue  # already recorded in inventory.problems
-        ctx = LintContext(path, text, tree)
-        per_file = inventory.by_path[path]
-        for rule in rules:
-            for finding in rule.check(ctx, per_file, inventory):
-                if not ctx.suppressed(finding.rule_id, finding.line):
-                    findings.append(finding)
+def _ndflow_report(sources: Mapping[str, str]) -> NdflowReport:
+    """Layers 1+2: inventory, then the NDF rules over every file."""
+    tree = SourceTree.of(sources)
+    inventory = build_nd_inventory(tree)
     return NdflowReport(
-        findings=sorted(findings, key=Finding.sort_key), inventory=inventory
+        findings=check_inventory(tree, _RULES, inventory.by_path, inventory),
+        inventory=inventory,
     )
+
+
+ANALYZER = Analyzer(
+    name="ndflow",
+    rules=NDFLOW_RULE_IDS,
+    scope=("",),
+    accounts_for="nondeterminism source(s)",
+    check=ndflow_selfcheck,
+    build=_ndflow_report,
+)
+analyze_ndflow = ANALYZER.analyze

@@ -18,7 +18,8 @@ Three layers:
   vocabulary below; :func:`perf_selfcheck` proves every root resolves and
   every annotation agrees with the computed class.
 * **Layer 2 — PERF rules.**  The PERF001..PERF006 rules below run *only*
-  inside hot functions, riding the standard nlint machinery:
+  inside hot functions, riding the shared analyzer frame
+  (:mod:`repro.analysis.framework`):
   :class:`~repro.analysis.linter.Finding` objects, per-line
   ``# nlint: disable=PERF002 -- why`` suppressions, ``--select/--ignore``
   filtering and the shared baseline gate (``perf-baseline.json``).
@@ -64,22 +65,26 @@ over-approximation.
 from __future__ import annotations
 
 import ast
-import re
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
+from repro.analysis.framework import (
+    Analyzer,
+    SourceTree,
+    annotation_problems,
+)
 from repro.analysis.linter import (
     Finding,
+    InventoryRule,
     LintContext,
-    Rule,
     _own_nodes,
-    all_rules,
-    register,
+    assigned_name,
+    attr_chain,
 )
 
 __all__ = [
+    "ANALYZER",
     "DEFAULT_ROOTS",
     "HOTNESS_RANK",
     "HotFunction",
@@ -88,37 +93,21 @@ __all__ = [
     "PerfReport",
     "analyze_perf",
     "build_hot_map",
-    "load_perf_sources",
     "perf_selfcheck",
 ]
 
 
 # --------------------------------------------------------------------------- #
-# Rule registration.  Like the CKPT rules these need whole-program context    #
-# (the hot map), so the generic per-file walker never fires them; the perf    #
-# driver calls their check() methods directly on each hot function.           #
+# Rules.  They need whole-program context (the hot map), so the perf driver   #
+# calls their check() methods directly on each hot function.                  #
 # --------------------------------------------------------------------------- #
 
 
-class _PerfRule(Rule):
-    """Hot-path rule: registered for id/severity bookkeeping; the perf
-    driver invokes :meth:`check` on each hot function directly."""
-
-    severity = "warning"
-    interests: tuple[type, ...] = (ast.Module,)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check(
-        self, fn: ast.AST, ctx: LintContext, hotness: str
-    ) -> Iterator[Finding]:
-        return iter(())
-
-    def _hot_finding(
-        self, ctx: LintContext, node: ast.AST, hotness: str, message: str
-    ) -> Finding:
-        return self.finding(ctx, node, f"[{hotness}] {message}")
+def _hot_finding(
+    rule: InventoryRule, ctx: LintContext, node: ast.AST, hotness: str,
+    message: str,
+) -> Finding:
+    return rule.finding(ctx, node, f"[{hotness}] {message}")
 
 
 #: Hotness classes, strongest first (rank 0 beats rank 2 on a shared path).
@@ -152,18 +141,6 @@ def _loop_body_nodes(loop: ast.For | ast.While) -> Iterator[ast.AST]:
         yield from ast.walk(stmt)
 
 
-def _attr_chain(node: ast.AST) -> str | None:
-    """``a.b.c`` as a dotted string, or None for non-trivial bases."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _is_hash_call(call: ast.Call, ctx: LintContext) -> bool:
     name = ctx.call_name(call)
     if name is not None and (
@@ -175,109 +152,93 @@ def _is_hash_call(call: ast.Call, ctx: LintContext) -> bool:
     )
 
 
-@register
-class AllocationChurn(_PerfRule):
+def _hot_sites(fn, hotness, kind_of, per_call=True):
+    """``(node, kind, in_loop)`` once per node that *kind_of* names: first
+    the sites in a hot loop body, then, in per-event/per-page functions
+    (when *per_call*), the rest of the body — the function is the loop."""
+    seen: set[int] = set()
+    in_loops = (node for loop in _loops(fn) for node in _loop_body_nodes(loop))
+    per_call_nodes = _own_nodes(fn) if per_call and hotness in _PER_CALL_HOT else ()
+    for in_loop, nodes in ((True, in_loops), (False, per_call_nodes)):
+        for node in nodes:
+            kind = kind_of(node) if id(node) not in seen else None
+            if kind is not None:
+                seen.add(id(node))
+                yield node, kind, in_loop
+
+
+class AllocationChurn(InventoryRule):
     rule_id = "PERF001"
-    summary = ("fresh list/dict/set/tuple allocated every iteration of a "
-               "per-event or per-page loop — hoist or reuse the container")
 
     def check(self, fn, ctx, hotness):
         if hotness not in _PER_CALL_HOT:
             return
-        seen: set[int] = set()
-        for loop in _loops(fn):
-            for node in _loop_body_nodes(loop):
-                if id(node) in seen:
-                    continue
-                kind = None
-                if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
-                    kind = type(node).__name__
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in _ALLOC_BUILTINS
-                    and node.func.id not in ctx.imports
-                ):
-                    kind = f"{node.func.id}()"
-                if kind is not None:
-                    seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
-                        f"{kind} allocated on every iteration of a hot "
-                        f"loop — allocate once outside and reuse",
-                    )
 
-
-@register
-class WholeBufferRehash(_PerfRule):
-    rule_id = "PERF002"
-    summary = ("whole-buffer hashing inside a hot loop — cache digests by "
-               "generation or hash incrementally (dirty data only)")
-
-    def check(self, fn, ctx, hotness):
-        seen: set[int] = set()
-        for loop in _loops(fn):
-            for node in _loop_body_nodes(loop):
-                if id(node) in seen or not isinstance(node, ast.Call):
-                    continue
-                if _is_hash_call(node, ctx):
-                    seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
-                        "hashes a whole buffer inside a hot loop — hash "
-                        "only what changed and cache the rest by "
-                        "generation",
-                    )
-
-
-@register
-class SortPerEvent(_PerfRule):
-    rule_id = "PERF003"
-    summary = ("sorted()/.sort() on a hot path — sort once and maintain "
-               "order incrementally, or iterate an already-ordered index")
-
-    def _sort_kind(self, node: ast.AST, ctx: LintContext) -> str | None:
-        if not isinstance(node, ast.Call):
+        def kind_of(node):
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+                return type(node).__name__
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in _ALLOC_BUILTINS
+                and node.func.id not in ctx.imports
+            ):
+                return f"{node.func.id}()"
             return None
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "sorted"
-            and "sorted" not in ctx.imports
-        ):
-            return "sorted()"
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "sort":
-            return ".sort()"
-        return None
+
+        for node, kind, _ in _hot_sites(fn, hotness, kind_of, per_call=False):
+            yield _hot_finding(
+                self, ctx, node, hotness,
+                f"{kind} allocated on every iteration of a hot "
+                f"loop — allocate once outside and reuse",
+            )
+
+
+class WholeBufferRehash(InventoryRule):
+    rule_id = "PERF002"
 
     def check(self, fn, ctx, hotness):
-        seen: set[int] = set()
-        for loop in _loops(fn):
-            for node in _loop_body_nodes(loop):
-                kind = self._sort_kind(node, ctx)
-                if kind is not None and id(node) not in seen:
-                    seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
-                        f"{kind} inside a hot loop re-sorts per iteration "
-                        f"— maintain the order incrementally",
-                    )
-        if hotness in _PER_CALL_HOT:
-            for node in _own_nodes(fn):
-                kind = self._sort_kind(node, ctx)
-                if kind is not None and id(node) not in seen:
-                    seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
-                        f"{kind} runs on every {hotness} call — sort once "
-                        f"and keep the result ordered",
-                    )
+        def kind_of(node):
+            return isinstance(node, ast.Call) and _is_hash_call(node, ctx) or None
+
+        for node, _, _ in _hot_sites(fn, hotness, kind_of, per_call=False):
+            yield _hot_finding(
+                self, ctx, node, hotness,
+                "hashes a whole buffer inside a hot loop — hash "
+                "only what changed and cache the rest by "
+                "generation",
+            )
 
 
-@register
-class RepeatedAttributeLookup(_PerfRule):
+class SortPerEvent(InventoryRule):
+    rule_id = "PERF003"
+
+    def check(self, fn, ctx, hotness):
+        def kind_of(node):
+            if not isinstance(node, ast.Call):
+                return None
+            if (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "sorted"
+                and "sorted" not in ctx.imports
+            ):
+                return "sorted()"
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "sort":
+                return ".sort()"
+            return None
+
+        for node, kind, in_loop in _hot_sites(fn, hotness, kind_of):
+            yield _hot_finding(
+                self, ctx, node, hotness,
+                f"{kind} inside a hot loop re-sorts per iteration "
+                f"— maintain the order incrementally" if in_loop else
+                f"{kind} runs on every {hotness} call — sort once "
+                f"and keep the result ordered",
+            )
+
+
+class RepeatedAttributeLookup(InventoryRule):
     rule_id = "PERF004"
-    summary = ("same attribute chain resolved 3+ times in one hot loop "
-               "body — bind it to a local before the loop")
 
     def check(self, fn, ctx, hotness):
         for loop in _loops(fn):
@@ -287,7 +248,7 @@ class RepeatedAttributeLookup(_PerfRule):
                     continue
                 if not isinstance(node.ctx, ast.Load):
                     continue
-                chain = _attr_chain(node)
+                chain = attr_chain(node)
                 if chain is None or "." not in chain:
                     continue
                 counts.setdefault(chain, []).append(node)
@@ -305,50 +266,34 @@ class RepeatedAttributeLookup(_PerfRule):
                     )
                 ]
                 if len(maximal) >= 3:
-                    yield self._hot_finding(
-                        ctx, maximal[0], hotness,
+                    yield _hot_finding(
+                        self, ctx, maximal[0], hotness,
                         f"'{chain}' resolved {len(maximal)} times per "
                         f"iteration of a hot loop — hoist to a local",
                     )
 
 
-@register
-class PerCallConstruction(_PerfRule):
+class PerCallConstruction(InventoryRule):
     rule_id = "PERF005"
-    summary = ("lambda / itertools.count constructed per event or inside "
-               "a hot loop — build once and reuse")
-
-    def _kind(self, node: ast.AST, ctx: LintContext) -> str | None:
-        if isinstance(node, ast.Lambda):
-            return "lambda"
-        if isinstance(node, ast.Call):
-            name = ctx.call_name(node)
-            if name in ("itertools.count", "itertools.cycle"):
-                return name
-        return None
 
     def check(self, fn, ctx, hotness):
-        seen: set[int] = set()
-        for loop in _loops(fn):
-            for node in _loop_body_nodes(loop):
-                kind = self._kind(node, ctx)
-                if kind is not None and id(node) not in seen:
-                    seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
-                        f"fresh {kind} built every iteration of a hot loop "
-                        f"— construct it once outside",
-                    )
-        if hotness in _PER_CALL_HOT:
-            for node in _own_nodes(fn):
-                kind = self._kind(node, ctx)
-                if kind is not None and id(node) not in seen:
-                    seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
-                        f"fresh {kind} built on every {hotness} call — "
-                        f"construct it once and reuse",
-                    )
+        def kind_of(node):
+            if isinstance(node, ast.Lambda):
+                return "lambda"
+            if isinstance(node, ast.Call):
+                name = ctx.call_name(node)
+                if name in ("itertools.count", "itertools.cycle"):
+                    return name
+            return None
+
+        for node, kind, in_loop in _hot_sites(fn, hotness, kind_of):
+            yield _hot_finding(
+                self, ctx, node, hotness,
+                f"fresh {kind} built every iteration of a hot loop "
+                f"— construct it once outside" if in_loop else
+                f"fresh {kind} built on every {hotness} call — "
+                f"construct it once and reuse",
+            )
 
 
 _SCAN_OK_STMTS = (ast.If, ast.AugAssign, ast.Continue, ast.Pass)
@@ -370,11 +315,8 @@ def _is_accumulator_scan(loop: ast.For) -> bool:
     return ok(loop.body) and not loop.orelse
 
 
-@register
-class FullScanAggregate(_PerfRule):
+class FullScanAggregate(InventoryRule):
     rule_id = "PERF006"
-    summary = ("aggregate recomputed by scanning a whole collection on "
-               "every hot call — maintain an incremental index instead")
 
     def check(self, fn, ctx, hotness):
         for node in _own_nodes(fn):
@@ -391,10 +333,10 @@ class FullScanAggregate(_PerfRule):
                 source = comp.generators[0].iter
                 if isinstance(source, ast.Call):
                     source = source.func
-                chain = _attr_chain(source)
+                chain = attr_chain(source)
                 if chain is not None and "." in chain:
-                    yield self._hot_finding(
-                        ctx, node, hotness,
+                    yield _hot_finding(
+                        self, ctx, node, hotness,
                         f"{node.func.id}() scans all of '{chain}' on every "
                         f"hot call — maintain the aggregate incrementally",
                     )
@@ -406,17 +348,18 @@ class FullScanAggregate(_PerfRule):
                 source.func, ast.Attribute
             ) and source.func.attr in ("items", "values", "keys"):
                 source = source.func.value
-            chain = _attr_chain(source)
+            chain = attr_chain(source)
             if chain is not None and "." in chain:
-                yield self._hot_finding(
-                    ctx, loop, hotness,
+                yield _hot_finding(
+                    self, ctx, loop, hotness,
                     f"full scan of '{chain}' to recompute an aggregate on "
                     f"every hot call — maintain an incremental index",
                 )
 
 
-PERF_RULE_IDS = ("PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
-                 "PERF006")
+_RULES = (AllocationChurn, WholeBufferRehash, SortPerEvent,
+          RepeatedAttributeLookup, PerCallConstruction, FullScanAggregate)
+PERF_RULE_IDS = tuple(rule.rule_id for rule in _RULES)
 
 
 # --------------------------------------------------------------------------- #
@@ -468,8 +411,8 @@ DEFAULT_ROOTS = (
     ("pick_host", "per-epoch"),
 )
 
-_HOT_ANNOT_RE = re.compile(r"#\s*hot:\s*([A-Za-z-]+)(?:\s*--\s*(.*))?")
-_KNOWN_HOTNESS = frozenset({"per-event", "per-page", "per-epoch", "exempt"})
+#: The ``# hot:`` annotation vocabulary.
+HOT_CLASSES = frozenset({*HOTNESS_RANK, "exempt"})
 
 
 @dataclass
@@ -495,39 +438,6 @@ class HotFunction:
         return self.qualname.rsplit(".", 1)[-1]
 
 
-def _pkg_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def load_perf_sources(
-    overrides: Mapping[str, str] | None = None,
-) -> dict[str, str]:
-    """Scope sources as ``display path -> text``; *overrides* lets tests
-    swap in synthetic sources by path suffix (like ckptcov)."""
-    root = _pkg_root()
-    out: dict[str, str] = {}
-    for rel in PERF_SCOPE_FILES:
-        text = None
-        if overrides:
-            for key, value in overrides.items():
-                norm = key.replace("\\", "/")
-                if norm == rel or norm.endswith("/" + rel):
-                    text = value
-                    break
-        if text is None:
-            text = (root / rel).read_text()
-        out[f"src/repro/{rel}"] = text
-    if overrides:
-        for key, value in overrides.items():
-            norm = key.replace("\\", "/")
-            if not any(norm == rel or norm.endswith("/" + rel)
-                       for rel in PERF_SCOPE_FILES):
-                out[norm] = value
-    return out
-
-
 def _called_names(fn: ast.AST) -> frozenset[str]:
     out: set[str] = set()
     for node in ast.walk(fn):
@@ -540,62 +450,48 @@ def _called_names(fn: ast.AST) -> frozenset[str]:
     return frozenset(out)
 
 
-def _header_annotation(
-    fn: ast.AST, lines: list[str]
-) -> tuple[str | None, str | None]:
-    """The ``# hot:`` annotation on the def header (def line through the
-    line before the first body statement), if any."""
+def _header_span(fn: ast.AST) -> range:
+    """The def header: the def line through the first body statement's line
+    (where a ``# hot:`` annotation classifies the function)."""
     first_body = fn.body[0].lineno if getattr(fn, "body", None) else fn.lineno
-    for lineno in range(fn.lineno, first_body + 1):
-        if lineno > len(lines):
-            break
-        match = _HOT_ANNOT_RE.search(lines[lineno - 1])
-        if match:
-            why = match.group(2)
-            return match.group(1), why.strip() if why else None
-    return None, None
+    return range(fn.lineno, first_body + 1)
 
 
 def build_hot_map(
     sources: Mapping[str, str],
     roots: Sequence[tuple[str, str]] = DEFAULT_ROOTS,
 ) -> dict[str, HotFunction]:
-    """Layer 1: discover every function in *sources* and classify it by
-    reachability from *roots* (plus ``# hot:`` header annotations)."""
+    """Layer 1: discover every function in the perf scope of *sources* (a
+    tree, or display path -> text) and classify it by reachability from
+    *roots* (plus ``# hot:`` header annotations)."""
     functions: dict[str, HotFunction] = {}
     by_name: dict[str, list[str]] = {}
 
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
+    for file in SourceTree.of(sources).scope(*PERF_SCOPE_FILES).files():
+        if file.module is None:
             continue  # plain lint already reports E999
-        lines = text.splitlines()
+        annotations = file.annotations("hot")
 
         def add(node: ast.AST, qualname: str, exempt_class: bool) -> None:
-            declared, why = _header_annotation(node, lines)
+            annotation = next((annotations[line] for line in _header_span(node)
+                               if line in annotations), None)
+            declared = annotation.cls if annotation else None
             exempt = exempt_class or declared == "exempt"
             fn = HotFunction(
-                qualname=qualname, path=path, line=node.lineno, node=node,
+                qualname=qualname, path=file.path, line=node.lineno, node=node,
                 calls=_called_names(node),
                 declared=declared if declared != "exempt" else None,
-                why=why, exempt=exempt,
+                why=annotation.why if annotation else None, exempt=exempt,
             )
             functions[qualname] = fn
             by_name.setdefault(fn.name, []).append(qualname)
 
-        for node in tree.body:
+        for node in file.module.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 add(node, node.name, exempt_class=False)
             elif isinstance(node, ast.ClassDef):
-                exempt_class = any(
-                    isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and stmt.targets[0].id == "__perf_exempt__"
-                    for stmt in node.body
-                )
+                exempt_class = any(assigned_name(stmt) == "__perf_exempt__"
+                                   for stmt in node.body)
                 for stmt in node.body:
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         add(stmt, f"{node.name}.{stmt.name}", exempt_class)
@@ -649,39 +545,17 @@ def perf_selfcheck(
     every root resolves to a discovered function, every ``# hot:``
     annotation uses the known vocabulary and sits on a def header, and no
     annotation understates the computed hotness."""
-    if sources is None:
-        sources = load_perf_sources()
-    problems: list[str] = []
-
-    header_spans: dict[str, set[int]] = {}
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            problems.append(f"{path}:{exc.lineno}: does not parse: {exc.msg}")
-            continue
-        spans = header_spans.setdefault(path, set())
-        for node in ast.walk(tree):
+    tree = SourceTree.of(sources if sources is not None else SourceTree.load())
+    tree = tree.scope(*PERF_SCOPE_FILES)
+    headers: dict[str, set[int]] = {}
+    for file in tree.files():
+        for node in ast.walk(file.module) if file.module is not None else ():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first_body = node.body[0].lineno if node.body else node.lineno
-                spans.update(range(node.lineno, first_body + 1))
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _HOT_ANNOT_RE.search(line)
-            if match is None:
-                continue
-            if match.group(1) not in _KNOWN_HOTNESS:
-                problems.append(
-                    f"{path}:{lineno}: unknown hotness '{match.group(1)}' "
-                    f"(use per-event, per-page, per-epoch or exempt)"
-                )
-            if lineno not in spans:
-                problems.append(
-                    f"{path}:{lineno}: '# hot:' annotation is not on a "
-                    f"function def header — it classifies nothing"
-                )
+                headers.setdefault(file.path, set()).update(_header_span(node))
+    problems = tree.parse_problems() + annotation_problems(
+        tree, "hot", HOT_CLASSES, headers, "a function def header")
 
-    hot_map = build_hot_map(sources, roots)
+    hot_map = build_hot_map(tree, roots)
     for qualname, hotness in roots:
         if qualname not in hot_map:
             problems.append(
@@ -728,19 +602,13 @@ class PerfReport:
         )
 
 
-def analyze_perf(
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-    overrides: Mapping[str, str] | None = None,
-    roots: Sequence[tuple[str, str]] = DEFAULT_ROOTS,
+def _perf_report(
+    sources: Mapping[str, str], roots: Sequence[tuple[str, str]] = DEFAULT_ROOTS
 ) -> PerfReport:
-    """Run Layers 1+2: classify, then lint only the hot functions."""
-    rules = [
-        rule for rule in all_rules(select=select, ignore=ignore)
-        if isinstance(rule, _PerfRule)
-    ]
-    sources = load_perf_sources(overrides)
-    hot_map = build_hot_map(sources, roots)
+    """Layers 1+2: classify, then lint only the hot functions."""
+    tree = SourceTree.of(sources)
+    rules = [rule() for rule in _RULES]
+    hot_map = build_hot_map(tree, roots)
 
     per_path: dict[str, list[HotFunction]] = {}
     for fn in hot_map.values():
@@ -749,9 +617,7 @@ def analyze_perf(
 
     findings: list[Finding] = []
     for path in sorted(per_path):
-        text = sources[path]
-        tree = ast.parse(text, filename=path)
-        ctx = LintContext(path, text, tree)
+        ctx = LintContext(tree.file(path))
         for fn in sorted(per_path[path], key=lambda f: f.line):
             for rule in rules:
                 for finding in rule.check(fn.node, ctx, fn.hotness):
@@ -760,3 +626,14 @@ def analyze_perf(
     return PerfReport(
         findings=sorted(findings, key=Finding.sort_key), hot_map=hot_map
     )
+
+
+ANALYZER = Analyzer(
+    name="perf",
+    rules=PERF_RULE_IDS,
+    scope=PERF_SCOPE_FILES,
+    accounts_for="hot/exempt function(s)",
+    check=perf_selfcheck,
+    build=_perf_report,
+)
+analyze_perf = ANALYZER.analyze

@@ -447,6 +447,11 @@ def write_bench_json(report: Mapping[str, Any], path: str | Path) -> None:
     )
 
 
+def _engine_rate(report: Mapping[str, Any]) -> int | None:
+    loop = report.get("optimizations", {}).get("engine_run_fast_path", {})
+    return loop.get("after_events_per_sec")
+
+
 def check_bench(
     current: Mapping[str, Any],
     baseline: Mapping[str, Any],
@@ -458,16 +463,34 @@ def check_bench(
     present in both reports are compared, so smoke runs gate against the
     full bench's shared subset.
 
+    Host speed cancels out: when both reports carry the in-process
+    engine-loop rate (``engine_run_fast_path.after_events_per_sec``), each
+    workload is gated on its events/sec *divided by* that rate, so a host
+    that runs everything at half speed passes and a workload that slows
+    relative to the engine loop on the same host fails.  Reports without
+    the reference gate on raw events/sec.
+
     The engine-loop micro-bench is additionally gated *relatively*: the
     run() fast path must stay within *tolerance* of the legacy peek/step
-    loop measured in the same process — a machine-independent check that
-    survives CI runners slower or faster than the machine that recorded
-    the baseline."""
+    loop measured in the same process."""
     problems: list[str] = []
     base_workloads = baseline.get("workloads", {})
+    current_ref, base_ref = _engine_rate(current), _engine_rate(baseline)
+    relative = bool(current_ref and base_ref)
     for name, entry in current.get("workloads", {}).items():
         base = base_workloads.get(name)
         if base is None:
+            continue
+        if relative:
+            ratio = entry["events_per_sec"] / current_ref
+            base_ratio = base["events_per_sec"] / base_ref
+            if ratio < base_ratio * (1 - tolerance):
+                problems.append(
+                    f"{name}: {entry['events_per_sec']} events/sec is "
+                    f"{ratio:.4f} of this host's engine loop "
+                    f"({current_ref}/sec), more than {tolerance:.0%} below "
+                    f"the checked-in ratio {base_ratio:.4f}"
+                )
             continue
         floor = base["events_per_sec"] * (1 - tolerance)
         if entry["events_per_sec"] < floor:

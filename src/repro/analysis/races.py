@@ -50,6 +50,8 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Hashable
 
+from repro.analysis.framework import SourceTree
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine, Event, Process
 
@@ -457,20 +459,20 @@ TRACKED_STATE: dict[str, tuple[str, ...]] = {
 }
 
 
-def recorded_fields(root: str | Path) -> dict[str, set[tuple[str, str]]]:
+def recorded_fields(
+    root: str | Path | SourceTree,
+) -> dict[str, set[tuple[str, str]]]:
     """``module suffix -> {(field, kind)}`` for every ``record_access``
-    call with a string-literal field under *root* (AST-based, so comments
-    and docstrings don't count)."""
+    call with a string-literal field under *root* (a directory, or an
+    already-parsed tree; AST-based, so comments and docstrings don't
+    count)."""
+    tree = root if isinstance(root, SourceTree) else SourceTree.from_paths([root])
     found: dict[str, set[tuple[str, str]]] = {}
-    for path in sorted(Path(root).rglob("*.py")):
-        if "__pycache__" in path.parts:
+    for file in tree.files():
+        if file.module is None:
             continue
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        except SyntaxError:
-            continue
-        suffix = "/".join(path.parts[-2:])
-        for node in ast.walk(tree):
+        suffix = "/".join(file.rel.split("/")[-2:])
+        for node in ast.walk(file.module):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -485,7 +487,7 @@ def recorded_fields(root: str | Path) -> dict[str, set[tuple[str, str]]]:
     return found
 
 
-def verify_access_coverage(root: str | Path) -> list[str]:
+def verify_access_coverage(root: str | Path | SourceTree) -> list[str]:
     """Cross-check :data:`TRACKED_STATE` against real call sites.
 
     Returns a list of problems (empty = every declared field is written via

@@ -821,11 +821,3 @@ class LiveWaiterIteration(Rule):
                 )
                 return
 
-
-# The PERF rules live with the hot-path analyzer; importing the module
-# registers them so --select/--ignore and --list-rules see the full catalog
-# (same pattern as the CKPT coverage rules).
-from repro.analysis import perf as _perf  # noqa: E402,F401  (registration import)
-
-# Likewise the NDF nondeterminism-provenance rules.
-from repro.analysis import ndflow as _ndflow  # noqa: E402,F401  (registration import)

@@ -296,7 +296,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_lint(args) -> int:
     """Run nlint (the determinism/checkpoint-safety linter) over paths."""
-    from repro.analysis.linter import all_rules, lint_paths
+    from repro.analysis.framework import SourceTree, select_findings
+    from repro.analysis.linter import REGISTRY, all_rules, lint_tree
     from repro.analysis.report import render_json, render_text
 
     if args.list_rules:
@@ -304,28 +305,30 @@ def _cmd_lint(args) -> int:
             print(f"{rule.rule_id}  [{rule.severity}] {rule.summary}")
         return 0
     try:
-        rules = all_rules(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
+        all_rules(select=args.select, ignore=args.ignore)  # validates the ids
+        tree = args.tree if args.tree is not None else SourceTree.from_paths(args.paths)
+    except (KeyError, FileNotFoundError) as exc:
         print(f"repro lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    try:
-        findings = lint_paths(args.paths, rules)
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc.args[0]}", file=sys.stderr)
-        return 2
+    findings = select_findings(tree.memo("nlint", lambda: lint_tree(tree)),
+                               REGISTRY, args.select, args.ignore)
     render = render_json if args.format == "json" else render_text
+    return _report_findings(findings, args, render, "repro lint")
+
+
+def _report_findings(findings, args, render, prog) -> int:
+    """Print *findings*; without ``--baseline`` only errors fail (the
+    heuristic warnings report without failing the build)."""
     if args.baseline is None:
         print(render(findings))
-        # Warnings (the heuristic RACE/ORD rules) report without failing
-        # the build; only error-severity findings gate CI.
         return 1 if any(f.severity == "error" for f in findings) else 0
     return _baseline_gate(
-        findings, args.baseline, args.update_baseline, render, "repro lint"
+        findings, args.baseline, args.update_baseline, render, prog
     )
 
 
 def _baseline_gate(findings, baseline_file, update, render, prog) -> int:
-    """Shared --baseline semantics for lint and ckptcov.
+    """Shared --baseline semantics for every lint.
 
     Errors always gate and are never baselined; warnings partition into
     new (fail) / baselined (report, pass) / stale entries (report, pass).
@@ -368,93 +371,111 @@ def _baseline_gate(findings, baseline_file, update, render, prog) -> int:
     return 1 if gating else 0
 
 
+def _package(args):
+    """The parsed package this invocation reads (shared by ``repro
+    analyze`` across its steps, else loaded once here)."""
+    from repro.analysis.framework import SourceTree
+
+    if args.tree is None:
+        args.tree = SourceTree.load()
+    return args.tree
+
+
+def _static_findings(name: str, args):
+    """``(analyzer, tree, findings)`` of one whole-program analyzer: its
+    selfcheck gates the lint (an unaccounted item would silently shrink
+    the audited surface), then ``--select``/``--ignore`` filter.  Returns
+    an exit code instead when the gate fails."""
+    from repro.analysis.framework import get_analyzer, select_findings
+
+    analyzer = get_analyzer(name)
+    tree = _package(args)
+    problems, _ = analyzer.selfcheck(tree)
+    if problems:
+        print(f"{name} self-check FAILED (run `repro {name} selfcheck`):")
+        for problem in problems:
+            print(f"  - {problem}")
+        return 1
+    try:
+        findings = select_findings(
+            analyzer.lint(tree), analyzer.rules, args.select, args.ignore)
+    except KeyError as exc:
+        print(f"repro {name}: {exc.args[0]}", file=sys.stderr)
+        return 2
+    return analyzer, tree, findings
+
+
+def _analyzer_cmd(name: str, args, listing=None) -> int:
+    """The ``selfcheck`` and ``lint`` actions every whole-program analyzer
+    shares; *listing(report)* prints the lint's optional inventory view."""
+    from repro.analysis.framework import get_analyzer
+    from repro.analysis.report import render_json, render_text
+
+    if args.action == "selfcheck":
+        analyzer = get_analyzer(name)
+        problems, dispositions = analyzer.selfcheck(_package(args))
+        width = max(map(len, dispositions), default=0)
+        for key in sorted(dispositions):
+            print(f"  {key:<{width}}  {dispositions[key]}")
+        if problems:
+            print(f"{name} self-check FAILED:")
+            for problem in problems:
+                print(f"  - {problem}")
+            return 1
+        print(f"{name} self-check: {len(dispositions)} "
+              f"{analyzer.accounts_for} accounted for.")
+        return 0
+    gated = _static_findings(name, args)
+    if isinstance(gated, int):
+        return gated
+    analyzer, tree, findings = gated
+    if listing is not None:
+        listing(analyzer.report(tree))
+    render = render_json if args.json else render_text
+    return _report_findings(findings, args, render, f"repro {name}")
+
+
 def _cmd_ckptcov(args) -> int:
     """Checkpoint state-coverage analyzer (static CKPT1xx + oracle)."""
     import json
 
-    from repro.analysis.coverage import analyze_coverage, inventory_selfcheck
-    from repro.analysis.report import render_json, render_text
+    from repro.analysis.framework import get_analyzer
 
-    if args.check_inventory:
-        problems, dispositions = inventory_selfcheck()
-        width = max(len(name) for name in dispositions)
-        for name in sorted(dispositions):
-            print(f"  {name:<{width}}  {dispositions[name]}")
-        if problems:
-            print("inventory self-check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"inventory self-check: {len(dispositions)} class(es) accounted for.")
-        return 0
-
-    try:
-        report = analyze_coverage(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro ckptcov: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    render = render_json if args.json else render_text
-    status = _baseline_gate(
-        report.findings, args.baseline, args.update_baseline, render,
-        "repro ckptcov",
-    ) if args.baseline is not None else _plain_ckptcov(report, render)
-
-    if args.diff and not args.update_baseline:
-        from repro.analysis.ckptdiff import ORACLE_WORKLOADS, run_oracle
-
-        workloads = tuple(args.workload) if args.workload else ORACLE_WORKLOADS
-        uncovered = report.uncovered()
-        for name in workloads:
-            result = run_oracle(
-                name, seed=args.seed, static_uncovered=uncovered
-            )
-            if args.json:
-                print(json.dumps(result.summary(), indent=2, sort_keys=True))
-            else:
-                verdict = "clean" if result.ok else f"{len(result.diffs)} diff(s)"
-                print(f"oracle {name}: {verdict} "
-                      f"({result.fields_compared} fields compared)")
-                for diff in result.confirmed_gaps:
-                    print(f"  confirmed gap (CKPT101): {diff}")
-                for diff in result.analyzer_bugs:
-                    print(f"  ANALYZER BUG: {diff}")
-            if not result.ok:
-                status = 1
-    return status
-
-
-def _plain_ckptcov(report, render) -> int:
-    print(render(report.findings))
-    uncovered = sorted(report.uncovered())
-    if uncovered:
-        pairs = ", ".join(f"{c}.{f}" for c, f in uncovered)
+    status = _analyzer_cmd("ckptcov", args)
+    if args.action != "lint" or status == 2:
+        return status
+    report = get_analyzer("ckptcov").report(_package(args))
+    uncovered = report.uncovered()
+    if args.baseline is None and uncovered:
+        pairs = ", ".join(f"{c}.{f}" for c, f in sorted(uncovered))
         print(f"repro ckptcov: uncovered field(s): {pairs}")
-    return 1 if any(f.severity == "error" for f in report.findings) else 0
+    if not args.diff or args.update_baseline:
+        return status
+
+    from repro.analysis.ckptdiff import ORACLE_WORKLOADS, run_oracle
+
+    workloads = tuple(args.workload) if args.workload else ORACLE_WORKLOADS
+    for name in workloads:
+        result = run_oracle(name, seed=args.seed, static_uncovered=uncovered,
+                            inventory=report.inventory)
+        if args.json:
+            print(json.dumps(result.summary(), indent=2, sort_keys=True))
+        else:
+            verdict = "clean" if result.ok else f"{len(result.diffs)} diff(s)"
+            print(f"oracle {name}: {verdict} "
+                  f"({result.fields_compared} fields compared)")
+            for diff in result.confirmed_gaps:
+                print(f"  confirmed gap (CKPT101): {diff}")
+            for diff in result.analyzer_bugs:
+                print(f"  ANALYZER BUG: {diff}")
+        if not result.ok:
+            status = 1
+    return status
 
 
 def _cmd_perf(args) -> int:
     """Hot-path performance analyzer: PERF lint / profile / bench."""
     import json
-
-    from repro.analysis.perf import analyze_perf, perf_selfcheck
-    from repro.analysis.report import render_json, render_text
-
-    render = render_json if args.json else render_text
-
-    if args.action == "selfcheck":
-        problems, dispositions = perf_selfcheck()
-        width = max(len(name) for name in dispositions)
-        for name in sorted(dispositions):
-            print(f"  {name:<{width}}  {dispositions[name]}")
-        if problems:
-            print("perf self-check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"perf self-check: {len(dispositions)} hot/exempt "
-              f"function(s) accounted for.")
-        return 0
 
     if args.action == "bench":
         from repro.analysis.perfbench import (
@@ -479,128 +500,77 @@ def _cmd_perf(args) -> int:
         if args.out:
             write_bench_json(report, args.out)
             print(f"repro perf: wrote {args.out}")
-        if args.check:
-            try:
-                baseline = json.loads(open(args.check).read())
-            except (OSError, ValueError) as exc:
-                print(f"repro perf: cannot read {args.check}: {exc}",
-                      file=sys.stderr)
-                return 2
-            problems = check_bench(report, baseline)
-            for problem in problems:
-                print(f"repro perf: REGRESSION {problem}")
-            if problems:
-                return 1
-            print(f"repro perf: throughput within 20% of {args.check}")
-        return 0
+        return _bench_gate(report, args.check)
 
-    # lint and profile both need the static pass; the selfcheck gates both
-    # (an unreachable root would silently shrink the linted surface).
-    problems, _ = perf_selfcheck()
-    if problems:
-        print("perf self-check FAILED (run `repro perf selfcheck`):")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
+    if args.action != "profile":
+        def hot_functions(report) -> None:
+            for fn in report.hot_functions:
+                mark = " (annotated)" if fn.declared else ""
+                print(f"  {fn.hotness:<9} {fn.path}:{fn.line} {fn.qualname}{mark}")
+
+        return _analyzer_cmd("perf", args, hot_functions if args.hot else None)
+
+    gated = _static_findings("perf", args)
+    if isinstance(gated, int):
+        return gated
+    findings = gated[2]
+    from repro.analysis.perfbench import crossref, run_profiled_deployment
+
+    run_ms = 400 if args.smoke else args.run_ms
+    run = run_profiled_deployment(args.workload, run_ms=run_ms, seed=args.seed)
+    entries = crossref(findings, run.counters)
+    if args.json:
+        print(json.dumps(
+            {
+                "workload": run.workload,
+                "seed": run.seed,
+                "run_ms": run.run_ms,
+                "events": run.events,
+                "counter_digest": run.digest,
+                "counters": run.counters,
+                "findings": entries,
+            },
+            indent=2, sort_keys=True,
+        ))
+    else:
+        print(f"{run.workload}: {run.events} events dispatched in "
+              f"{run.sim_us} simulated us; counter digest {run.digest}")
+        for site in sorted(run.counters):
+            if "." in site and site.count(".") == 1:
+                print(f"  {site:<28} {run.counters[site]}")
+        for entry in entries:
+            print(f"  {entry['status']:<13} {entry['rule']} "
+                  f"{entry['path']}:{entry['line']} ({entry['evidence']})")
+    return _bench_gate({"workloads": {run.workload: {
+        "events_per_sec": int(run.events / run.wall_s) if run.wall_s > 0 else 0,
+    }}}, args.check)
+
+
+def _bench_gate(report, check_file) -> int:
+    """``--check FILE``: gate *report* against a checked-in BENCH_engine.json."""
+    import json
+
+    from repro.analysis.perfbench import check_bench
+
+    if not check_file:
+        return 0
     try:
-        report = analyze_perf(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro perf: {exc.args[0]}", file=sys.stderr)
+        baseline = json.loads(open(check_file).read())
+    except (OSError, ValueError) as exc:
+        print(f"repro perf: cannot read {check_file}: {exc}", file=sys.stderr)
         return 2
-
-    if args.action == "profile":
-        from repro.analysis.perfbench import (
-            check_bench,
-            crossref,
-            run_profiled_deployment,
-        )
-
-        run_ms = 400 if args.smoke else args.run_ms
-        run = run_profiled_deployment(
-            args.workload, run_ms=run_ms, seed=args.seed
-        )
-        entries = crossref(report.findings, run.counters)
-        if args.json:
-            print(json.dumps(
-                {
-                    "workload": run.workload,
-                    "seed": run.seed,
-                    "run_ms": run.run_ms,
-                    "events": run.events,
-                    "counter_digest": run.digest,
-                    "counters": run.counters,
-                    "findings": entries,
-                },
-                indent=2, sort_keys=True,
-            ))
-        else:
-            print(f"{run.workload}: {run.events} events dispatched in "
-                  f"{run.sim_us} simulated us; counter digest {run.digest}")
-            for site in sorted(run.counters):
-                if "." in site and site.count(".") == 1:
-                    print(f"  {site:<28} {run.counters[site]}")
-            for entry in entries:
-                print(f"  {entry['status']:<13} {entry['rule']} "
-                      f"{entry['path']}:{entry['line']} ({entry['evidence']})")
-        if args.check:
-            try:
-                baseline = json.loads(open(args.check).read())
-            except (OSError, ValueError) as exc:
-                print(f"repro perf: cannot read {args.check}: {exc}",
-                      file=sys.stderr)
-                return 2
-            current = {
-                "workloads": {
-                    run.workload: {
-                        "events_per_sec": int(run.events / run.wall_s)
-                        if run.wall_s > 0 else 0,
-                    }
-                }
-            }
-            problems = check_bench(current, baseline)
-            for problem in problems:
-                print(f"repro perf: REGRESSION {problem}")
-            if problems:
-                return 1
-            print(f"repro perf: throughput within 20% of {args.check}")
-        return 0
-
-    # action == "lint"
-    if args.hot:
-        for fn in report.hot_functions:
-            mark = " (annotated)" if fn.declared else ""
-            print(f"  {fn.hotness:<9} {fn.path}:{fn.line} {fn.qualname}{mark}")
-    if args.baseline is None:
-        print(render(report.findings))
-        return 1 if any(f.severity == "error" for f in report.findings) else 0
-    return _baseline_gate(
-        report.findings, args.baseline, args.update_baseline, render,
-        "repro perf",
-    )
+    problems = check_bench(report, baseline)
+    for problem in problems:
+        print(f"repro perf: REGRESSION {problem}")
+    if problems:
+        return 1
+    print(f"repro perf: throughput within 20% of {check_file}")
+    return 0
 
 
 def _cmd_ndflow(args) -> int:
     """Nondeterminism-provenance analyzer: NDF lint / NDLog record / replay."""
     import json
-
-    from repro.analysis.ndflow import analyze_ndflow, ndflow_selfcheck
-    from repro.analysis.report import render_json, render_text
-
-    render = render_json if args.json else render_text
-
-    if args.action == "selfcheck":
-        problems, dispositions = ndflow_selfcheck()
-        width = max(len(name) for name in dispositions) if dispositions else 0
-        for name in sorted(dispositions):
-            print(f"  {name:<{width}}  {dispositions[name]}")
-        if problems:
-            print("ndflow self-check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"ndflow self-check: {len(dispositions)} nondeterminism "
-              f"source(s) accounted for.")
-        return 0
 
     if args.action in ("record", "replay"):
         from repro.analysis.ndreplay import (
@@ -629,59 +599,24 @@ def _cmd_ndflow(args) -> int:
         # must have DIVERGED (the oracle proved it catches the regression).
         return 0 if report["ok"] else 1
 
-    # action == "lint" — the selfcheck gates it: an unaccounted source
-    # would silently shrink the audited surface.
-    problems, _ = ndflow_selfcheck()
-    if problems:
-        print("ndflow self-check FAILED (run `repro ndflow selfcheck`):")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    try:
-        report = analyze_ndflow(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro ndflow: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.inventory:
+    def sources(report) -> None:
         for src in report.inventory.sources:
             print(f"  {src.nd_class or 'UNACCOUNTED':<11} {src.label}")
-    if args.baseline is None:
-        print(render(report.findings))
-        return 1 if any(f.severity == "error" for f in report.findings) else 0
-    return _baseline_gate(
-        report.findings, args.baseline, args.update_baseline, render,
-        "repro ndflow",
-    )
+
+    return _analyzer_cmd("ndflow", args, sources if args.inventory else None)
 
 
 def _cmd_ftcov(args) -> int:
     """Recovery-path coverage analyzer: FTC lint / catalog coverage record."""
     import json
 
-    from repro.analysis.ftcov import analyze_ftcov, ftcov_selfcheck
-    from repro.analysis.report import render_json, render_text
-
-    render = render_json if args.json else render_text
-
-    if args.action == "selfcheck":
-        problems, dispositions = ftcov_selfcheck()
-        width = max(len(name) for name in dispositions) if dispositions else 0
-        for name in sorted(dispositions):
-            print(f"  {name:<{width}}  {dispositions[name]}")
-        if problems:
-            print("ftcov self-check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"ftcov self-check: {len(dispositions)} failure-surface "
-              f"site(s) accounted for.")
-        return 0
-
-    if args.action in ("record", "report"):
+    if args.action == "record":
+        from repro.analysis.framework import get_analyzer
         from repro.analysis.ftreplay import format_report, run_ftcov_record
 
+        inventory = get_analyzer("ftcov").report(_package(args)).inventory
         try:
-            report = run_ftcov_record(knob=args.knob)
+            report = run_ftcov_record(knob=args.knob, inventory=inventory)
         except KeyError as exc:
             print(f"repro ftcov: {exc.args[0]}", file=sys.stderr)
             return 2
@@ -698,30 +633,12 @@ def _cmd_ftcov(args) -> int:
         # coverage gap must have been DETECTED.
         return 0 if report["ok"] else 1
 
-    # action == "lint" — the selfcheck gates it: an unaccounted site
-    # would silently shrink the audited failure surface.
-    problems, _ = ftcov_selfcheck()
-    if problems:
-        print("ftcov self-check FAILED (run `repro ftcov selfcheck`):")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    try:
-        report = analyze_ftcov(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro ftcov: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.inventory:
+    def sites(report) -> None:
         for site in report.inventory.sites:
             print(f"  {site.ft_class or 'UNACCOUNTED':<11} "
                   f"{site.path}:{site.line}  {site.label}")
-    if args.baseline is None:
-        print(render(report.findings))
-        return 1 if any(f.severity == "error" for f in report.findings) else 0
-    return _baseline_gate(
-        report.findings, args.baseline, args.update_baseline, render,
-        "repro ftcov",
-    )
+
+    return _analyzer_cmd("ftcov", args, sites if args.inventory else None)
 
 
 def _cmd_analyze(args) -> int:
@@ -748,7 +665,7 @@ def _cmd_races(args) -> int:
     from repro.analysis.races import verify_access_coverage
 
     if args.check_access:
-        problems = verify_access_coverage("src")
+        problems = verify_access_coverage(_package(args))
         if problems:
             print("record_access coverage check FAILED:")
             for problem in problems:
@@ -1053,6 +970,27 @@ def _cmd_hycor(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _analyzer_parser(sub, name: str, actions: tuple[str, ...], help: str):
+    """A whole-program analyzer's subcommand with the options its shared
+    ``selfcheck``/``lint`` actions take."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("action", nargs="?", default="lint", choices=actions)
+    parser.add_argument("--select", action="append", default=None,
+                        metavar="RULE",
+                        help=f"emit only these {name} rule IDs (repeatable)")
+    parser.add_argument("--ignore", action="append", default=None,
+                        metavar="RULE",
+                        help=f"skip these {name} rule IDs (repeatable)")
+    parser.add_argument("--baseline", metavar="FILE", default=None,
+                        help=f"known-finding baseline (see "
+                             f"{name}-baseline.json)")
+    parser.add_argument("--update-baseline", action="store_true",
+                        help="rewrite --baseline FILE from current warnings")
+    parser.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1113,49 +1051,25 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--update-baseline", action="store_true",
                       help="rewrite --baseline FILE from current warnings")
 
-    ckptcov = sub.add_parser(
-        "ckptcov",
-        help="checkpoint state-coverage analyzer (CKPT1xx + "
-             "checkpoint/restore differential oracle)",
+    ckptcov = _analyzer_parser(
+        sub, "ckptcov", ("lint", "selfcheck"),
+        "checkpoint state-coverage analyzer (CKPT1xx + "
+        "checkpoint/restore differential oracle)",
     )
-    ckptcov.add_argument("--select", action="append", default=None,
-                         metavar="RULE",
-                         help="emit only these CKPT rule IDs (repeatable)")
-    ckptcov.add_argument("--ignore", action="append", default=None,
-                         metavar="RULE",
-                         help="skip these CKPT rule IDs (repeatable)")
-    ckptcov.add_argument("--baseline", metavar="FILE", default=None,
-                         help="known-gap baseline (see ckptcov-baseline.json)")
-    ckptcov.add_argument("--update-baseline", action="store_true",
-                         help="rewrite --baseline FILE from current warnings")
     ckptcov.add_argument("--diff", action="store_true",
-                         help="also run the checkpoint->restore->deep-compare "
-                              "differential oracle on live workloads")
+                         help="lint: also run the checkpoint->restore->"
+                              "deep-compare differential oracle on live "
+                              "workloads")
     ckptcov.add_argument("--workload", action="append", default=None,
                          help="oracle workload(s) (repeatable; default: one "
                               "per workload family)")
     ckptcov.add_argument("--seed", type=int, default=1)
-    ckptcov.add_argument("--json", action="store_true",
-                         help="emit machine-readable JSON")
-    ckptcov.add_argument("--check-inventory", action="store_true",
-                         help="verify every kernel/net class is accounted "
-                              "for by the inventory and exit")
 
-    perf = sub.add_parser(
-        "perf",
-        help="hot-path performance analyzer: PERF lint rules, deterministic "
-             "DES profiler, engine benchmark gate",
+    perf = _analyzer_parser(
+        sub, "perf", ("lint", "profile", "bench", "selfcheck"),
+        "hot-path performance analyzer: PERF lint rules, deterministic "
+        "DES profiler, engine benchmark gate",
     )
-    perf.add_argument("action", nargs="?", default="lint",
-                      choices=("lint", "profile", "bench", "selfcheck"))
-    perf.add_argument("--select", action="append", default=None, metavar="RULE",
-                      help="emit only these PERF rule IDs (repeatable)")
-    perf.add_argument("--ignore", action="append", default=None, metavar="RULE",
-                      help="skip these PERF rule IDs (repeatable)")
-    perf.add_argument("--baseline", metavar="FILE", default=None,
-                      help="known-debt baseline (see perf-baseline.json)")
-    perf.add_argument("--update-baseline", action="store_true",
-                      help="rewrite --baseline FILE from current warnings")
     perf.add_argument("--hot", action="store_true",
                       help="lint: also print the hot-function classification")
     perf.add_argument("--workload", default="net",
@@ -1169,28 +1083,15 @@ def build_parser() -> argparse.ArgumentParser:
                            "(e.g. BENCH_engine.json)")
     perf.add_argument("--check", default=None, metavar="FILE",
                       help="gate events/sec against a checked-in "
-                           "BENCH_engine.json (fail on >20%% drop)")
+                           "BENCH_engine.json (fail on >20%% drop; bench "
+                           "gates relative to this host's engine loop)")
     perf.add_argument("--seed", type=int, default=1)
-    perf.add_argument("--json", action="store_true",
-                      help="emit machine-readable JSON")
 
-    ndflow = sub.add_parser(
-        "ndflow",
-        help="nondeterminism-provenance analyzer: NDF taint rules, NDLog "
-             "record mode, record->replay differential oracle",
+    ndflow = _analyzer_parser(
+        sub, "ndflow", ("lint", "record", "replay", "selfcheck"),
+        "nondeterminism-provenance analyzer: NDF taint rules, NDLog "
+        "record mode, record->replay differential oracle",
     )
-    ndflow.add_argument("action", nargs="?", default="lint",
-                        choices=("lint", "record", "replay", "selfcheck"))
-    ndflow.add_argument("--select", action="append", default=None,
-                        metavar="RULE",
-                        help="emit only these NDF rule IDs (repeatable)")
-    ndflow.add_argument("--ignore", action="append", default=None,
-                        metavar="RULE",
-                        help="skip these NDF rule IDs (repeatable)")
-    ndflow.add_argument("--baseline", metavar="FILE", default=None,
-                        help="known-finding baseline (see ndflow-baseline.json)")
-    ndflow.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline FILE from current warnings")
     ndflow.add_argument("--inventory", action="store_true",
                         help="lint: also print the classified nondeterminism"
                              "-source inventory")
@@ -1207,35 +1108,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "every cell diverges")
     ndflow.add_argument("--smoke", action="store_true",
                         help="reduced CI matrix: net workload, seeds 1 2")
-    ndflow.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
 
-    ftcov = sub.add_parser(
-        "ftcov",
-        help="recovery-path coverage analyzer: FTC lint rules plus a "
-             "catalog coverage recorder crossed against the static "
-             "failure-surface inventory",
+    ftcov = _analyzer_parser(
+        sub, "ftcov", ("lint", "record", "selfcheck"),
+        "recovery-path coverage analyzer: FTC lint rules plus a catalog "
+        "coverage recorder crossed against the static failure-surface "
+        "inventory",
     )
-    ftcov.add_argument("action", nargs="?", default="lint",
-                       choices=("lint", "record", "report", "selfcheck"))
-    ftcov.add_argument("--select", action="append", default=None,
-                       metavar="RULE",
-                       help="emit only these FTC rule IDs (repeatable)")
-    ftcov.add_argument("--ignore", action="append", default=None,
-                       metavar="RULE",
-                       help="skip these FTC rule IDs (repeatable)")
-    ftcov.add_argument("--baseline", metavar="FILE", default=None,
-                       help="known-finding baseline (see ftcov-baseline.json)")
-    ftcov.add_argument("--update-baseline", action="store_true",
-                       help="rewrite --baseline FILE from current warnings")
     ftcov.add_argument("--inventory", action="store_true",
                        help="lint: also print the classified failure-surface "
                             "inventory")
     ftcov.add_argument("--knob", choices=("drop-scenario",), default=None,
                        help="record: drop UNSAFE_DROP_SCENARIO from the "
                             "catalog; exit 0 iff the coverage gap is caught")
-    ftcov.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
     ftcov.add_argument("--json-out", default=None, metavar="FILE",
                        help="record: also write the coverage matrix here")
 
@@ -1391,8 +1276,13 @@ _COMMANDS = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None, tree=None) -> int:
+    """Run one command.  *tree* is a parsed package
+    (:class:`~repro.analysis.framework.SourceTree`) that the static
+    commands read instead of the disk; ``repro analyze`` passes the one it
+    built so that no step parses a file twice or repeats a check."""
     args = build_parser().parse_args(argv)
+    args.tree = tree
     return _COMMANDS[args.command](args)
 
 

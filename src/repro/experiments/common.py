@@ -1,9 +1,10 @@
 """Shared experiment machinery: build, run and measure one deployment.
 
-Modes:
+Modes are the names in :data:`repro.replication.modes.MODE_REGISTRY`:
 
 * ``stock``  — unreplicated container (the baseline denominator),
 * ``nilicon`` — the full NiLiCon deployment (or any config variant),
+* ``hycor``  — NiLiCon with HyCoR's ND-log release rule,
 * ``mc``     — the Remus-on-KVM micro-checkpointing baseline.
 
 Server benchmarks measure saturated throughput over a steady-state window
@@ -30,7 +31,6 @@ from repro.workloads.base import ClientStats, ComputeWorkload, ServerWorkload
 from repro.workloads.catalog import make_workload
 
 __all__ = [
-    "MODES",
     "RunResult",
     "build_deployment",
     "overhead_from_throughput",
@@ -38,9 +38,6 @@ __all__ = [
     "run_compute_benchmark",
     "run_server_benchmark",
 ]
-
-MODES = ("stock", "nilicon", "hycor", "mc")
-
 
 @dataclass
 class RunResult:

@@ -16,7 +16,8 @@ from repro.analysis.ckptdiff import (
     run_oracle,
     run_oracle_suite,
 )
-from repro.analysis.coverage import analyze_coverage, build_inventory, load_source_set
+from repro.analysis.coverage import analyze_coverage, build_inventory
+from repro.analysis.framework import SourceTree
 from repro.criu.config import CriuConfig
 
 # --------------------------------------------------------------------------- #
@@ -152,7 +153,7 @@ def test_bytearray_and_deque_normalized(synth_inventory):
 
 @pytest.fixture(scope="module")
 def real_inventory():
-    return build_inventory(load_source_set().inventory)
+    return build_inventory(SourceTree.load())
 
 
 def test_oracle_clean_on_net_echo(real_inventory):

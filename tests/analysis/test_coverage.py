@@ -19,9 +19,9 @@ from repro.analysis.coverage import (
     analyze_coverage,
     analyze_source_set,
     build_inventory,
-    inventory_selfcheck,
-    load_source_set,
+    ckptcov_selfcheck,
 )
+from repro.analysis.framework import SourceTree
 
 
 def make_srcs(inventory, dump="", restore="", wrappers=""):
@@ -328,11 +328,13 @@ def test_select_and_ignore_filters():
         analyze_source_set(srcs, select=["CKPT999"])
 
 
-def test_rules_registered_with_linter_registry():
+def test_rules_owned_by_ckptcov_not_the_nlint_registry():
+    from repro.analysis.coverage import ANALYZER
     from repro.analysis.linter import all_rules
 
+    assert ANALYZER.rules == COVERAGE_RULE_IDS
     registered = {r.rule_id for r in all_rules()}
-    assert set(COVERAGE_RULE_IDS) <= registered
+    assert not set(COVERAGE_RULE_IDS) & registered
     # Whole-program rules must not fire during per-file linting.
     from repro.analysis.linter import lint_source
 
@@ -353,7 +355,7 @@ def test_real_tree_only_known_gap():
 
 
 def test_real_tree_selfcheck_clean():
-    problems, dispositions = inventory_selfcheck()
+    problems, dispositions = ckptcov_selfcheck()
     assert problems == []
     # Spot-check dispositions: infra ignored, kernel state inventoried.
     assert dispositions["Kernel"].startswith("ignored")
@@ -370,7 +372,7 @@ def test_selfcheck_flags_unknown_annotation_and_bad_ignore():
         "    def __init__(self):\n"
         "        self.x = 1  # ckpt: derrived -- typo\n",
     )
-    problems, _ = inventory_selfcheck(srcs)
+    problems, _ = ckptcov_selfcheck(srcs)
     text = "\n".join(problems)
     assert "derrived" in text
     assert "nonexistent field(s) nope" in text
@@ -429,5 +431,5 @@ def test_deleted_dump_site_with_restore_intact_is_ckpt103():
 
 
 def test_override_matching_is_suffix_based():
-    srcs = load_source_set(overrides={"src/repro/kernel/cgroup.py": "class X:\n    pass\n"})
-    assert srcs.inventory["src/repro/kernel/cgroup.py"] == "class X:\n    pass\n"
+    tree = SourceTree.load(overrides={"src/repro/kernel/cgroup.py": "class X:\n    pass\n"})
+    assert tree["src/repro/kernel/cgroup.py"] == "class X:\n    pass\n"

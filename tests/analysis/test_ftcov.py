@@ -11,18 +11,18 @@ the frozen ``UNSAFE_DROP_SCENARIO`` knob entry.
 import textwrap
 from pathlib import Path
 
+from repro.analysis.framework import SourceTree
 from repro.analysis.ftcov import (
     analyze_ftcov,
     build_ft_inventory,
     ftcov_selfcheck,
-    load_ftcov_sources,
 )
 
 _SCOPE = "replication/zz_scope.py"
 
 
 def inventory(code, path=_SCOPE):
-    sources = load_ftcov_sources({path: textwrap.dedent(code)})
+    sources = SourceTree.load({path: textwrap.dedent(code)})
     inv = build_ft_inventory(sources)
     return [s for s in inv.sites if s.path.endswith(path)]
 
@@ -34,7 +34,7 @@ def findings(code, select=None, path=_SCOPE):
 
 
 def selfcheck_problems(code, path=_SCOPE):
-    sources = load_ftcov_sources({path: textwrap.dedent(code)})
+    sources = SourceTree.load({path: textwrap.dedent(code)})
     problems, _ = ftcov_selfcheck(sources)
     return [p for p in problems if path in p]
 
@@ -380,7 +380,7 @@ def test_real_tree_selfcheck_is_clean():
 
 
 def test_real_tree_every_point_site_is_registered():
-    inv = build_ft_inventory(load_ftcov_sources())
+    inv = build_ft_inventory(SourceTree.load())
     point_sites = [s for s in inv.sites if s.kind == "point-site"]
     assert len(point_sites) >= 13
     assert all(s.registered for s in point_sites)
@@ -388,7 +388,7 @@ def test_real_tree_every_point_site_is_registered():
 
 
 def test_real_tree_every_registered_point_is_armed():
-    inv = build_ft_inventory(load_ftcov_sources())
+    inv = build_ft_inventory(SourceTree.load())
     registry_sites = [s for s in inv.sites if s.kind == "point"]
     assert {s.name for s in registry_sites} == inv.registry
     assert all(s.name in inv.armed_points for s in registry_sites)

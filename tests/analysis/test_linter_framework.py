@@ -1,6 +1,9 @@
 """Tests for the nlint framework: registry, suppressions, reporters."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,32 @@ def test_source_tree_is_clean():
     """The self-clean guarantee: the shipped tree has zero findings, so the
     CI gate (`python -m repro lint src/` exiting non-zero) stays meaningful."""
     assert lint_paths([SRC_ROOT]) == []
+
+
+def _list_rules(preamble: str) -> list[str]:
+    """``repro lint --list-rules`` in a fresh interpreter after *preamble*."""
+    code = f"{preamble}\nfrom repro.cli import main\nmain(['lint', '--list-rules'])\n"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(SRC_ROOT)},
+    ).stdout
+    return [line.split()[0] for line in out.splitlines()]
+
+
+def test_list_rules_does_not_depend_on_import_order():
+    plain = _list_rules("")
+    after_analyzers = _list_rules(
+        "import repro.analysis.coverage, repro.analysis.perf, "
+        "repro.analysis.ndflow, repro.analysis.ftcov")
+    assert plain == after_analyzers == sorted(REGISTRY)
+    # The whole-program families belong to their analyzers, not nlint.
+    assert not any(rid.startswith(("CKPT1", "PERF", "NDF", "FTC"))
+                   for rid in plain)
+
+
+def test_analyzer_rule_ids_are_rejected_by_nlint_and_accepted_by_owner(capsys):
+    from repro.cli import main
+
+    assert main(["lint", "--select", "FTC001", "src/repro/fleet"]) == 2
+    assert "FTC001" in capsys.readouterr().err
+    assert main(["ftcov", "lint", "--select", "FTC001"]) == 0

@@ -11,10 +11,10 @@ two frozen ``unsafe_unlogged_draw`` knob entries.
 import textwrap
 from pathlib import Path
 
+from repro.analysis.framework import SourceTree
 from repro.analysis.ndflow import (
     analyze_ndflow,
     build_nd_inventory,
-    load_ndflow_sources,
     ndflow_selfcheck,
 )
 
@@ -22,7 +22,7 @@ _SCOPE = "replication/zz_scope.py"
 
 
 def inventory(code, path=_SCOPE):
-    sources = load_ndflow_sources({path: textwrap.dedent(code)})
+    sources = SourceTree.load({path: textwrap.dedent(code)})
     inv = build_nd_inventory(sources)
     return [s for s in inv.sources if s.path.endswith(path)]
 
@@ -34,7 +34,7 @@ def findings(code, select=None, path=_SCOPE):
 
 
 def selfcheck_problems(code, path=_SCOPE):
-    sources = load_ndflow_sources({path: textwrap.dedent(code)})
+    sources = SourceTree.load({path: textwrap.dedent(code)})
     problems, _ = ndflow_selfcheck(sources)
     return [p for p in problems if path in p]
 
@@ -352,7 +352,7 @@ def test_real_tree_selfcheck_is_clean():
 
 
 def test_real_tree_every_counter_is_registered():
-    inv = build_nd_inventory(load_ndflow_sources())
+    inv = build_nd_inventory(SourceTree.load())
     counters = [s for s in inv.sources if s.kind == "counter"]
     assert len(counters) >= 7  # tid, pid, ino, ns, packet, seq, mac
     assert all(s.registered for s in counters)

@@ -9,17 +9,17 @@ on the actual package, including the regression probe: the
 
 import textwrap
 
+from repro.analysis.framework import SourceTree
 from repro.analysis.perf import (
     DEFAULT_ROOTS,
     analyze_perf,
     build_hot_map,
-    load_perf_sources,
     perf_selfcheck,
 )
 
 
 def classify(code, roots):
-    sources = load_perf_sources({"sim/engine.py": textwrap.dedent(code)})
+    sources = SourceTree.load({"sim/engine.py": textwrap.dedent(code)})
     return build_hot_map(sources, roots)
 
 
@@ -33,7 +33,7 @@ def analyze(code, roots, select=None):
 
 
 def selfcheck(code, roots):
-    sources = load_perf_sources({"sim/engine.py": textwrap.dedent(code)})
+    sources = SourceTree.load({"sim/engine.py": textwrap.dedent(code)})
     return perf_selfcheck(sources, roots)
 
 

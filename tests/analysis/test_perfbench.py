@@ -138,6 +138,27 @@ def test_check_bench_skips_workloads_missing_from_baseline():
     assert check_bench(current, baseline) == []
 
 
+def _rated_doc(events_per_sec, engine_events_per_sec):
+    doc = _bench_doc(events_per_sec)
+    doc["optimizations"]["engine_run_fast_path"]["after_events_per_sec"] = (
+        engine_events_per_sec)
+    return doc
+
+
+def test_check_bench_passes_when_the_whole_host_is_half_as_fast():
+    # The workload rate halves with the in-process engine-loop rate: the
+    # host is slower, not the code.
+    baseline = _rated_doc(40_000, 520_000)
+    assert check_bench(_rated_doc(20_000, 260_000), baseline) == []
+
+
+def test_check_bench_flags_a_25_percent_drop_relative_to_the_engine_loop():
+    baseline = _rated_doc(40_000, 520_000)
+    problems = check_bench(_rated_doc(30_000, 520_000), baseline)
+    assert len(problems) == 1
+    assert "net" in problems[0] and "engine loop" in problems[0]
+
+
 def test_pool_index_matches_scan_and_wins():
     result = _bench_pool_index(queries=20_000, seed=1)
     assert result["equivalent"] is True

@@ -9,7 +9,8 @@ these again turns a green suite red before the static pass even runs.
 
 import pytest
 
-from repro.analysis.coverage import build_inventory, load_source_set
+from repro.analysis.coverage import build_inventory
+from repro.analysis.framework import SourceTree
 from repro.analysis.ckptdiff import compare_containers
 from repro.container import ContainerRuntime
 from repro.criu import CheckpointEngine, CriuConfig, RestoreEngine
@@ -156,7 +157,7 @@ def test_roundtrip_deep_compare_clean(world):
     fs.create("/data/blob")
     fs.write("/data/blob", 0, b"bytes")
     _image, restored = full_roundtrip(world, container)
-    inventory = build_inventory(load_source_set().inventory)
+    inventory = build_inventory(SourceTree.load())
     diffs, fields_compared = compare_containers(container, restored, inventory)
     assert diffs == [], [str(d) for d in diffs]
     assert fields_compared > 50

@@ -11,13 +11,14 @@ property the paper's failover correctness rests on.
 import pytest
 
 from repro.analysis.ckptdiff import run_oracle
-from repro.analysis.coverage import build_inventory, load_source_set
+from repro.analysis.coverage import build_inventory
+from repro.analysis.framework import SourceTree
 from repro.workloads.catalog import WORKLOADS
 
 
 @pytest.fixture(scope="module")
 def inventory():
-    return build_inventory(load_source_set().inventory)
+    return build_inventory(SourceTree.load())
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

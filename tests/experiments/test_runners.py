@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.common import (
-    MODES,
     RunResult,
     build_deployment,
     overhead_from_throughput,
@@ -13,6 +12,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.suite import MC_PARAMS, PAPER_BENCHMARKS
 from repro.net import World
+from repro.replication.modes import mode_names
 from repro.sim import ms
 from repro.workloads.catalog import make_workload
 
@@ -32,8 +32,8 @@ def test_build_deployment_rejects_unknown_mode():
 
 
 def test_modes_constant_covers_all_builders():
-    world = World(seed=1)
-    for mode in MODES:
+    assert mode_names() == ["stock", "nilicon", "hycor", "mc"]
+    for mode in mode_names():
         w = World(seed=1)
         deployment = build_deployment(w, make_workload("net").spec(), mode)
         assert deployment.container is not None
