@@ -16,7 +16,8 @@ Two jobs, deliberately separated:
   campaign, and records the before/after of each landed optimization
   (engine run() fast path vs the legacy peek/step loop, the page-digest
   generation cache vs the ``perf_unoptimized_digest`` re-hash-everything
-  knob, the host-pool occupancy index vs the ``_load_scan`` reference).
+  knob, the host-pool occupancy index vs the ``_load_scan`` reference,
+  the wire decoder vs whole-frame ``ast.literal_eval``).
   The result is ``BENCH_engine.json``; :func:`check_bench` is the CI gate
   that fails on a >20% events/sec regression against it.
 
@@ -369,6 +370,50 @@ def _bench_pool_index(queries: int = 200_000, seed: int = 1) -> dict[str, Any]:
     }
 
 
+def _bench_wire_decoder(frames: int = 20, seed: int = 1) -> dict[str, Any]:
+    """Micro-bench of ``protocol.decode_body`` against the whole-frame
+    ``ast.literal_eval`` it replaced, on catalog-redis KV frames (a
+    ``BATCH`` request and its ``RESULTS`` response per pair), proving
+    value-and-type equivalence along the way."""
+    import ast
+
+    from repro.net import World
+    from repro.net.world import reset_id_counters
+    from repro.workloads import protocol
+    from repro.workloads.catalog import redis
+    from repro.workloads.kvstore import KvRequestFactory
+
+    reset_id_counters()
+    server = redis()
+    factory = KvRequestFactory(server, World(seed=seed), batch_size=1000)
+    bodies = []
+    for i in range(frames // 2):
+        batch, _check, _n = factory(i)
+        ops = protocol.decode_body(batch)[1]
+        results = ["OK" if op == "set" else factory.shadow[key] for op, key, _ in ops]
+        bodies += [batch, protocol.encode_body(("RESULTS", results))]
+    equivalent = all(
+        repr(protocol.decode_body(body)) == repr(ast.literal_eval(body.decode()))
+        for body in bodies
+    )
+    start = _wall()
+    for body in bodies:
+        ast.literal_eval(body.decode())
+    literal_eval_wall = _wall() - start
+    start = _wall()
+    for body in bodies:
+        protocol.decode_body(body)
+    decoder_wall = _wall() - start
+    return {
+        "frames": len(bodies),
+        "mean_frame_bytes": sum(map(len, bodies)) // len(bodies),
+        "equivalent": equivalent,
+        "literal_eval_ms_per_frame": round(literal_eval_wall * 1e3 / len(bodies), 3),
+        "decoder_ms_per_frame": round(decoder_wall * 1e3 / len(bodies), 3),
+        "speedup": round(literal_eval_wall / decoder_wall, 3) if decoder_wall else None,
+    }
+
+
 def _bench_fleet(smoke: bool, seed: int) -> dict[str, Any]:
     """Time the 12-member fleet campaign (which replays itself twice and
     checks its own trace-digest determinism)."""
@@ -437,6 +482,7 @@ def run_perf_bench(smoke: bool = False, seed: int = 1) -> dict[str, Any]:
         "pool_load_index": _bench_pool_index(
             queries=20_000 if smoke else 200_000, seed=seed
         ),
+        "wire_decoder": _bench_wire_decoder(frames=4 if smoke else 20, seed=seed),
     }
     return report
 
@@ -472,7 +518,9 @@ def check_bench(
 
     The engine-loop micro-bench is additionally gated *relatively*: the
     run() fast path must stay within *tolerance* of the legacy peek/step
-    loop measured in the same process."""
+    loop measured in the same process.  The wire-decoder micro-bench is
+    gated on correctness: it must decode every frame exactly as
+    ``ast.literal_eval`` does."""
     problems: list[str] = []
     base_workloads = baseline.get("workloads", {})
     current_ref, base_ref = _engine_rate(current), _engine_rate(baseline)
@@ -507,4 +555,10 @@ def check_bench(
                 f"the legacy step loop — the fast path regressed below the "
                 f"{1 - tolerance:.2f}x floor"
             )
+    decoder = current.get("optimizations", {}).get("wire_decoder")
+    if decoder and not decoder.get("equivalent", False):
+        problems.append(
+            "wire_decoder: decode_body disagreed with ast.literal_eval on "
+            f"{decoder.get('frames')} KV frames"
+        )
     return problems

@@ -24,6 +24,7 @@ which the workload driver charges as simulated time.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
@@ -102,6 +103,10 @@ class AddressSpace:
         self.costs = costs  # ckpt: derived -- host infrastructure handle
         self.name = name  # ckpt: derived -- rebuilt from container/comm at restore
         self.vmas: list[Vma] = []
+        #: ``vma.start`` of each entry of :attr:`vmas`, in the same (sorted)
+        #: order, so :meth:`find_vma` bisects instead of scanning.  Only
+        #: :meth:`mmap` and :meth:`munmap` change either list.
+        self._vma_starts: list[int] = []  # ckpt: derived -- rebuilt by mmap from the restored VMAs
         #: Resident pages: page index -> content token.
         self.pages: dict[int, bytes] = {}
         self._tracking = _TrackingState()  # ckpt: ephemeral -- restarted fresh after restore
@@ -129,23 +134,30 @@ class AddressSpace:
 
     # -- mapping ----------------------------------------------------------
     def mmap(self, vma: Vma) -> Vma:
-        """Map a new VMA; rejects overlap with an existing one."""
+        """Map a new VMA; rejects an empty one (Linux: ``EINVAL``) and
+        overlap with an existing one."""
+        if vma.n_pages <= 0:
+            raise AddressError(f"{self.name}: empty VMA at {vma.start}")
         for existing in self.vmas:
             if existing.overlaps(vma):
                 raise AddressError(
                     f"{self.name}: VMA [{vma.start},{vma.end}) overlaps "
                     f"[{existing.start},{existing.end})"
                 )
-        self.vmas.append(vma)
-        self.vmas.sort(key=lambda v: v.start)
+        # After any VMAs with an equal start, as a stable sort by start would.
+        i = bisect_right(self._vma_starts, vma.start)
+        self.vmas.insert(i, vma)
+        self._vma_starts.insert(i, vma.start)
         return vma
 
     def munmap(self, vma: Vma) -> None:
         """Unmap *vma* and drop its resident pages."""
         try:
-            self.vmas.remove(vma)
+            i = self.vmas.index(vma)
         except ValueError:
             raise AddressError(f"{self.name}: munmap of unmapped VMA") from None
+        del self.vmas[i]
+        del self._vma_starts[i]
         for idx in range(vma.start, vma.end):
             self.pages.pop(idx, None)
             self._tracking.dirty.discard(idx)
@@ -153,8 +165,10 @@ class AddressSpace:
                 self.audit_hook.page_unmapped(idx)
 
     def find_vma(self, page_idx: int) -> Vma:
-        for vma in self.vmas:
-            if vma.contains(page_idx):
+        i = bisect_right(self._vma_starts, page_idx) - 1
+        if i >= 0:
+            vma = self.vmas[i]
+            if page_idx < vma.start + vma.n_pages:
                 return vma
         raise AddressError(f"{self.name}: page {page_idx} is not mapped")
 

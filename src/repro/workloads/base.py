@@ -224,14 +224,17 @@ class ComputeWorkload(Workload):
 
     def _worker(self, world, container, worker: int):
         process = container.processes[0]
+        # The heap never moves under a live container: look it up once,
+        # not once per unit.
+        heap_start = container.heap_vma.start
         page = self.progress_page(container, worker)
         while not container.dead:
-            done = self.read_progress(container, worker)
+            done = int(process.mm.read(page) or b"0")
             if done >= self.units_per_worker:
                 return
 
             def mutate(d=done):
-                self.unit_effects(container, process, worker, d)
+                self.unit_effects(process, heap_start, worker, d)
                 process.mm.write(page, str(d + 1).encode())
 
             try:
@@ -239,5 +242,6 @@ class ComputeWorkload(Workload):
             except (Interrupt, KernelError):
                 return
 
-    def unit_effects(self, container, process, worker: int, unit: int) -> None:
-        """State effects of one work unit (page dirtying); subclass hook."""
+    def unit_effects(self, process, heap_start: int, worker: int, unit: int) -> None:
+        """State effects of one work unit (page dirtying); subclass hook.
+        *heap_start* is the first page of the container's heap."""

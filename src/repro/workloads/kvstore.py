@@ -84,11 +84,17 @@ class KvServer(ServerWorkload):
         )
 
     def key_page(self, container: "Container", key: int) -> int:
-        return container.heap_vma.start + KV_BASE + key
+        return self._key_base(container) + key
+
+    def _key_base(self, container: "Container") -> int:
+        """Page of key 0.  Per-op paths add the key to this base, computed
+        once per batch, instead of looking the heap VMA up per op."""
+        return container.heap_vma.start + KV_BASE
 
     def warmup(self, world: "World", container: "Container") -> None:
         """YCSB-style load phase: populate every key (and the store file)."""
         process = container.processes[0]
+        key_base = self._key_base(container)
         fs = container.mounted_filesystems()[0] if self.persistence else None
         if fs is not None and not fs.exists(self.store_path):
             fs.create(self.store_path)
@@ -97,20 +103,19 @@ class KvServer(ServerWorkload):
             if self.persistence:
                 fs.write(self.store_path, key * self.value_len, value)
                 if key % 16 == 0:
-                    process.mm.write(self._index_page(container, key), str(key).encode())
+                    process.mm.write(self._index_page(key_base, key), str(key).encode())
             else:
-                process.mm.write(self.key_page(container, key), value)
+                process.mm.write(key_base + key, value)
         if fs is not None:
             fs.writeback()
 
     def _initial_value(self, key: int) -> bytes:
         return f"k{key:06d}=init".ljust(self.value_len, ".").encode()
 
-    def _index_page(self, container: "Container", key: int) -> int:
+    def _index_page(self, key_base: int, key: int) -> int:
         # LSM-memtable-style metadata: consecutive keys land on different
         # index pages, so the dirty-index footprint reflects update breadth.
-        base = container.heap_vma.start + KV_BASE + self.n_keys
-        return base + key % self.index_pages
+        return key_base + self.n_keys + key % self.index_pages
 
     # ------------------------------------------------------------------ #
     # Service                                                              #
@@ -148,6 +153,7 @@ class KvServer(ServerWorkload):
     def handle_request(self, container, process, body: bytes, outcome: dict):
         kind, ops = protocol.decode_body(body)
         assert kind == "BATCH"
+        key_base = self._key_base(container)
         fs = container.mounted_filesystems()[0] if self.persistence else None
         results = []
         for op, key, value in ops:
@@ -155,15 +161,15 @@ class KvServer(ServerWorkload):
                 data = value.encode()
                 if self.persistence:
                     fs.write(self.store_path, key * self.value_len, data)
-                    process.mm.write(self._index_page(container, key), str(key).encode())
+                    process.mm.write(self._index_page(key_base, key), str(key).encode())
                 else:
-                    process.mm.write(self.key_page(container, key), data)
+                    process.mm.write(key_base + key, data)
                 results.append("OK")
             else:  # get
                 if self.persistence:
                     raw = fs.read(self.store_path, key * self.value_len, self.value_len)
                 else:
-                    raw = process.mm.read(self.key_page(container, key))
+                    raw = process.mm.read(key_base + key)
                 results.append(raw.decode().rstrip("\x00"))
         return protocol.encode_body(("RESULTS", results))
 

@@ -64,9 +64,6 @@ class DiskRwWorkload(Workload):
             mounts=[("/data", f"{self.name}-fs")],
         )
 
-    def _journal_page(self, container: "Container", region: int) -> int:
-        return container.heap_vma.start + JOURNAL_BASE + region
-
     def warmup(self, world: "World", container: "Container") -> None:
         fs = container.mounted_filesystems()[0]
         if not fs.exists(self.path):
@@ -77,6 +74,7 @@ class DiskRwWorkload(Workload):
 
     def _loop(self, world: "World", container: "Container"):
         process = container.processes[0]
+        journal_base = container.heap_vma.start + JOURNAL_BASE  # page of region 0
         fs = container.mounted_filesystems()[0]
         rng = world.rng.stream(
             self.seed_stream,  # nd: logged -- name pinned by the workload spec
@@ -89,7 +87,7 @@ class DiskRwWorkload(Workload):
             do_write = rng.random() < 0.5
 
             def mutate(region=region, length=length, do_write=do_write):
-                journal = self._journal_page(container, region)
+                journal = journal_base + region
                 raw = process.mm.read(journal)
                 version, known_len = (
                     [int(x) for x in raw.split(b":")] if raw else (0, 0)

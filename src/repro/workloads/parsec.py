@@ -74,12 +74,14 @@ class ParsecWorkload(ComputeWorkload):
             process.mm.write(base + i, b"in")
 
     def _partition(self, container: "Container", worker: int) -> tuple[int, int]:
-        per_worker = self.resident_pages // self.n_workers
-        start = container.heap_vma.start + DATA_BASE + worker * per_worker
-        return start, per_worker
+        return self._partition_at(container.heap_vma.start, worker)
 
-    def unit_effects(self, container, process, worker: int, unit: int) -> None:
-        start, span = self._partition(container, worker)
+    def _partition_at(self, heap_start: int, worker: int) -> tuple[int, int]:
+        per_worker = self.resident_pages // self.n_workers
+        return heap_start + DATA_BASE + worker * per_worker, per_worker
+
+    def unit_effects(self, process, heap_start: int, worker: int, unit: int) -> None:
+        start, span = self._partition_at(heap_start, worker)
         # Fractional pages/unit: accumulate and write on whole-page boundaries.
         before = int(unit * self.pages_per_unit)
         after = int((unit + 1) * self.pages_per_unit)

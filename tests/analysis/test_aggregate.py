@@ -84,8 +84,8 @@ def test_static_phase_parses_each_source_file_at_most_once(monkeypatch):
             assert cli_main(list(argv), tree=tree) == 0, argv
     merged = collect_findings(tree)
     assert len(merged) == 4
-    # ckptcov's oracle runs live workloads whose wire codec literal_evals
-    # frames ("<unknown>"); only parses of source files count here.
+    # Only parses of source files count here: the steps may parse other
+    # text (the wire codec does not; it decodes frames without ast).
     source_parses = {f: n for f, n in parses.items() if f in tree}
     assert len(source_parses) == len(tree)
     assert max(source_parses.values()) == 1, Counter(source_parses).most_common(3)

@@ -13,6 +13,7 @@ from repro.analysis.linter import Finding
 from repro.analysis.perfbench import (
     HOT_THRESHOLD,
     _bench_pool_index,
+    _bench_wire_decoder,
     check_bench,
     crossref,
     run_profiled_deployment,
@@ -163,3 +164,18 @@ def test_pool_index_matches_scan_and_wins():
     result = _bench_pool_index(queries=20_000, seed=1)
     assert result["equivalent"] is True
     assert result["speedup"] > 1.0
+
+
+def test_wire_decoder_matches_literal_eval_on_kv_frames():
+    result = _bench_wire_decoder(frames=2, seed=1)
+    assert result["frames"] == 2 and result["equivalent"] is True
+    assert result["decoder_ms_per_frame"] > 0
+
+
+def test_check_bench_fails_a_non_equivalent_wire_decoder():
+    doc = _bench_doc()
+    doc["optimizations"]["wire_decoder"] = {"frames": 20, "equivalent": True}
+    assert check_bench(doc, _bench_doc()) == []
+    doc["optimizations"]["wire_decoder"]["equivalent"] = False
+    problems = check_bench(doc, _bench_doc())
+    assert len(problems) == 1 and "wire_decoder" in problems[0]
