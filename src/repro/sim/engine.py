@@ -61,6 +61,9 @@ __all__ = [
 URGENT = 0
 NORMAL = 1
 
+#: The deadline of run-to-drain: later than any timestamp a run reaches.
+_FOREVER = 1 << 62
+
 
 class SimulationError(Exception):
     """Raised for misuse of the engine (double trigger, bad yield, ...)."""
@@ -558,22 +561,6 @@ class Engine:
         * ``until=<Event>`` — run until the event is processed; returns its
           value (raising if it failed).
         """
-        if until is None:
-            # Run-to-drain hot path: exactly one heappop per heap entry.
-            # The step()-based loop cost two head scans per event (peek in
-            # the loop condition, peek again inside step) plus re-resolved
-            # attribute lookups; hoisting the heap and heappop is the
-            # PERF004 fix measured in BENCH_engine.json.
-            heap = self._heap
-            pop = heapq.heappop
-            dispatch = self._dispatch
-            while heap:
-                when, _prio, _key, _seq, event = pop(heap)
-                if event._cancelled:
-                    continue
-                dispatch(when, event)
-            return None
-
         if isinstance(until, Event):
             sentinel = until
             while not sentinel.processed:
@@ -588,14 +575,30 @@ class Engine:
                 raise sentinel._value
             return sentinel._value
 
-        deadline = int(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline}) is in the past")
-        # peek() already discarded cancelled head entries, so the pop below
-        # yields exactly the event peek() priced — one head scan per event
-        # where step() would have done a second.
-        while (next_at := self.peek()) is not None and next_at <= deadline:
-            _when, _prio, _key, _seq, event = heapq.heappop(self._heap)
-            self._dispatch(next_at, event)
-        self._now = deadline
+        if until is None:
+            deadline = _FOREVER
+        else:
+            deadline = int(until)
+            if deadline < self._now:
+                raise SimulationError(f"run(until={deadline}) is in the past")
+        # The hot loop shared by run-to-drain and run-to-deadline: one
+        # heappop per heap entry, with the heap, heappop and dispatch bound
+        # to locals (the PERF004 fix measured in BENCH_engine.json; a
+        # peek()+step() loop scans the head twice per event).  Cancelled
+        # entries are discarded as they reach the head, so they neither
+        # dispatch nor move the clock; the first live entry past the
+        # deadline goes back on the heap unchanged.
+        heap = self._heap
+        pop = heapq.heappop
+        dispatch = self._dispatch
+        while heap:
+            when, prio, key, seq, event = pop(heap)
+            if event._cancelled:
+                continue
+            if when > deadline:
+                heapq.heappush(heap, (when, prio, key, seq, event))
+                break
+            dispatch(when, event)
+        if until is not None:
+            self._now = deadline
         return None

@@ -124,7 +124,11 @@ class ServerWorkload(Workload):
     def _handler(self, world, container, process, sock: TcpSocket):
         """The restart-safe request loop (see module docstring)."""
         while not container.dead:
-            needed = protocol.frame_ready(sock.peek(sock.available))
+            # Readiness needs only the length header and the queue length:
+            # peeking the whole queue would copy every pipelined frame
+            # behind this one on each wake.
+            head = sock.peek(protocol.HEADER_LEN)
+            needed = protocol.frame_ready(head, sock.available)
             if needed > 0:
                 try:
                     yield sock.data_available(min_bytes=sock.available + needed)
@@ -139,8 +143,7 @@ class ServerWorkload(Workload):
             # A complete frame is present: charge its CPU (in preemptible
             # ~1 ms slices, so the freezer never waits out a monolithic
             # multi-ms request), then atomically consume + apply + respond.
-            header = sock.peek(protocol.HEADER_LEN + 32)
-            body_len = int(header[:protocol.HEADER_LEN])
+            body_len = int(head)
             cpu_us = self.request_cpu_us(body_len)
             outcome: dict[str, Any] = {}
 

@@ -227,7 +227,9 @@ class KvRequestFactory:
 
     def __call__(self, i: int) -> tuple[bytes, Callable[[bytes], str | None], int]:
         ops = []
-        expected_gets = []
+        # The exact results the server must return, position by position:
+        # "OK" for each set, the shadow value for each get.
+        expected: list[str] = []
         value_len = self.server.value_len
         for j in range(self.batch_size):
             if j % 2 == 0:
@@ -236,22 +238,35 @@ class KvRequestFactory:
                 value = f"k{key:06d}@{i:07d}.{j:04d}".ljust(value_len, ".")
                 ops.append(("set", key, value))
                 self.shadow[key] = value
+                expected.append("OK")
             else:
                 key = self.rng.randrange(self.server.n_keys)
                 ops.append(("get", key, None))
-                expected_gets.append(self.shadow[key])
+                expected.append(self.shadow[key])
         body = protocol.encode_body(("BATCH", ops))
 
-        def check(response: bytes, expected=tuple(expected_gets)) -> str | None:
-            kind, results = protocol.decode_body(response)
-            if kind != "RESULTS":
-                return f"bad response kind {kind!r}"
-            gets = [r for r in results if r != "OK"]
-            if len(gets) != len(expected):
-                return f"expected {len(expected)} get results, saw {len(gets)}"
-            for got, want in zip(gets, expected):
-                if got != want:
-                    return f"get mismatch: {got[:32]!r} != {want[:32]!r}"
-            return None
+        def check(response: bytes) -> str | None:
+            # The wire encoding is canonical, so a byte comparison is the
+            # whole check; decoding is only needed to say what differs.
+            if response == protocol.encode_body(("RESULTS", expected)):
+                return None
+            return _explain_mismatch(response, expected)
 
         return body, check, self.batch_size
+
+
+def _explain_mismatch(response: bytes, expected: list[str]) -> str:
+    """Why *response* is not the encoding of ``("RESULTS", expected)``."""
+    try:
+        decoded = protocol.decode_body(response)
+    except ValueError as exc:
+        return f"undecodable response: {exc}"
+    if not (isinstance(decoded, tuple) and len(decoded) == 2 and decoded[0] == "RESULTS"):
+        return f"bad response {repr(decoded)[:48]}"
+    results = decoded[1]
+    if not isinstance(results, list) or len(results) != len(expected):
+        return f"expected a list of {len(expected)} results, saw {repr(results)[:48]}"
+    for pos, (got, want) in enumerate(zip(results, expected)):
+        if got != want:
+            return f"result {pos}: {repr(got)[:32]} != {want[:32]!r}"
+    return "response is not the canonical encoding of the expected results"

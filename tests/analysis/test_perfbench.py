@@ -139,25 +139,43 @@ def test_check_bench_skips_workloads_missing_from_baseline():
     assert check_bench(current, baseline) == []
 
 
-def _rated_doc(events_per_sec, engine_events_per_sec):
+def _paired_doc(ratios, events_per_sec=40_000):
     doc = _bench_doc(events_per_sec)
-    doc["optimizations"]["engine_run_fast_path"]["after_events_per_sec"] = (
-        engine_events_per_sec)
+    doc["workloads"]["net"]["engine_ratios"] = ratios
     return doc
 
 
 def test_check_bench_passes_when_the_whole_host_is_half_as_fast():
-    # The workload rate halves with the in-process engine-loop rate: the
-    # host is slower, not the code.
-    baseline = _rated_doc(40_000, 520_000)
-    assert check_bench(_rated_doc(20_000, 260_000), baseline) == []
+    # The workload rate halves with the paired engine-loop rate: the host
+    # is slower, not the code, so the ratio holds although events/sec fell.
+    baseline = _paired_doc([40_000 / 520_000] * 3, 40_000)
+    assert check_bench(_paired_doc([20_000 / 260_000] * 3, 20_000), baseline) == []
 
 
 def test_check_bench_flags_a_25_percent_drop_relative_to_the_engine_loop():
-    baseline = _rated_doc(40_000, 520_000)
-    problems = check_bench(_rated_doc(30_000, 520_000), baseline)
+    baseline = _paired_doc([40_000 / 520_000] * 3, 40_000)
+    problems = check_bench(_paired_doc([30_000 / 520_000] * 3, 40_000), baseline)
     assert len(problems) == 1
     assert "net" in problems[0] and "engine loop" in problems[0]
+
+
+def test_check_bench_gates_the_median_of_the_paired_ratios():
+    baseline = _paired_doc([0.10, 0.10, 0.10])
+    # One repetition caught the host mid-stall: the median ignores it.
+    assert check_bench(_paired_doc([0.05, 0.095, 0.11]), baseline) == []
+    problems = check_bench(_paired_doc([0.07, 0.075, 0.2]), baseline)
+    assert len(problems) == 1
+    assert "net" in problems[0] and "0.0750" in problems[0]
+
+
+def test_check_bench_gates_raw_rates_unless_both_reports_are_paired():
+    # A paired ratio is never compared with a report that lacks one: the
+    # gate falls back to raw events/sec on both sides.
+    unpaired = _bench_doc(40_000)
+    assert check_bench(_paired_doc([0.01] * 3, 36_000), unpaired) == []
+    assert check_bench(unpaired, _paired_doc([0.5] * 3, 44_000)) == []
+    problems = check_bench(_paired_doc([0.5] * 3, 20_000), unpaired)
+    assert len(problems) == 1 and "checked-in baseline 40000" in problems[0]
 
 
 def test_pool_index_matches_scan_and_wins():

@@ -58,3 +58,40 @@ def test_cancel_then_run_empty():
     eng.timeout(5).cancel()
     eng.run()  # no-op, no crash
     assert eng.now == 0
+
+
+def test_run_until_deadline_skips_cancelled_on_both_sides():
+    eng = Engine()
+    fired = []
+
+    def timer(delay, cancel):
+        ev = eng.timeout(delay)
+        ev.callbacks.append(lambda _ev: fired.append((delay, eng.now)))
+        if cancel:
+            ev.cancel()
+        return ev
+
+    timer(10, cancel=True)
+    timer(20, cancel=False)
+    timer(30, cancel=True)
+    timer(40, cancel=True)  # past the deadline
+    later = timer(60, cancel=False)
+    eng.run(until=50)
+    assert fired == [(20, 20)]
+    assert eng.now == 50
+    assert eng.peek() == 60 and not later.processed
+    eng.run(until=70)
+    assert fired == [(20, 20), (60, 60)]
+    assert eng.now == 70
+
+
+def test_run_until_deadline_leaves_later_events_in_order():
+    eng = Engine()
+    order = []
+    for delay in (5, 25, 15, 25, 35):
+        ev = eng.timeout(delay)
+        ev.callbacks.append(lambda _ev, d=delay: order.append(d))
+    eng.run(until=20)
+    assert order == [5, 15] and eng.now == 20
+    eng.run()
+    assert order == [5, 15, 25, 25, 35] and eng.now == 35

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.baselines.stock import StockDeployment
 from repro.criu.imagefiles import _meta_image
 from repro.kernel.mm import Vma
+from repro.kernel.tcp import TcpSocket
 from repro.net import World
+from repro.sim import sec
 from repro.workloads import protocol
+from repro.workloads.base import ClientStats
+from repro.workloads.clients import PipelinedClient
 from repro.workloads.kvstore import KvRequestFactory, KvServer
+from repro.workloads.microbench import EchoServer
 
 
 def test_frame_roundtrip():
@@ -39,10 +45,45 @@ def test_peel_two_frames():
 
 def test_frame_ready_counts_missing_bytes():
     framed = protocol.frame(b"abcdef")
-    assert protocol.frame_ready(framed) == 0
-    assert protocol.frame_ready(framed[:-4]) == 4
-    assert protocol.frame_ready(b"") == protocol.HEADER_LEN
-    assert protocol.frame_ready(framed[:3]) == protocol.HEADER_LEN - 3
+    head = framed[: protocol.HEADER_LEN]
+    assert protocol.frame_ready(head, len(framed)) == 0
+    assert protocol.frame_ready(head, len(framed) - 4) == 4
+    # Bytes queued behind the frame do not make it any less ready.
+    assert protocol.frame_ready(head, len(framed) + 100) == 0
+    assert protocol.frame_ready(b"", 0) == protocol.HEADER_LEN
+    assert protocol.frame_ready(framed[:3], 3) == protocol.HEADER_LEN - 3
+
+
+def test_server_peeks_headers_not_the_queued_frames(monkeypatch):
+    # A pipelined client queues N frames at once; the server's readiness
+    # check must look at the length header only, not copy the whole
+    # receive queue on every wake.
+    world = World(seed=3)
+    workload = EchoServer(name="echo", min_len=4000, max_len=4000)
+    deployment = StockDeployment(world, workload.spec())
+    workload.attach(world, deployment.container)
+    peeked = []
+    real_peek = TcpSocket.peek
+
+    def counting_peek(sock, max_bytes):
+        data = real_peek(sock, max_bytes)
+        peeked.append(len(data))
+        return data
+
+    monkeypatch.setattr(TcpSocket, "peek", counting_peek)
+
+    def request(i):
+        body = f"{i:04d}".encode() * 1000
+        return body, (lambda response, b=body: None if response == b else "mismatch"), 1
+
+    n = 32
+    stats = ClientStats()
+    client = PipelinedClient(world, workload.ip, workload.port, request, stats,
+                             window=n, n_requests=n)
+    client.start()
+    world.run(until=sec(2))
+    assert stats.completed == n and stats.ok
+    assert peeked and sum(peeked) / n <= 4 * protocol.HEADER_LEN
 
 
 def test_encode_decode_structures():
@@ -186,11 +227,38 @@ def test_property_tokenizer_consumes_every_character(text):
         b"\xff",  # not UTF-8
         "\u0663".encode(),  # a non-ASCII digit int() would accept
         b"'\\q'",  # an escape repr never writes
+        b"b'\\q'",  # ... nor in bytes
+        b"'a\\q', 'b'",  # ... even past the first token
+        b"'it's'",  # a stray unescaped quote
+        b"('a', 'b'c')",  # a literal glued to a name
+        b"'abc",  # unterminated
+        b"('abc, 1)",  # unterminated, with more tokens behind it
+        b"b'abc",  # unterminated bytes
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_non_canonical_bodies_raise_value_error(body):
     with pytest.raises(ValueError):
         protocol.decode_body(body)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        "a\\",  # ends in an escaped backslash: not a quote-free token
+        "it's \"",  # both quotes: repr escapes the single one
+        "x\ny\t\x00",
+        b"\x00'",
+        b"\x00'\"",
+        b"\x00",  # a quote-free bytes token that carries escapes
+        ["a\\", "b", b"c\\", b"d"],
+        "\\'",
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_escaped_literals_decode_exactly(obj):
+    body = protocol.encode_body(obj)
+    assert _shape(protocol.decode_body(body)) == _shape(ast.literal_eval(body.decode())) == _shape(obj)
 
 
 def _kv_frames() -> list[bytes]:

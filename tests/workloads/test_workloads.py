@@ -5,9 +5,11 @@ import pytest
 from repro.baselines.stock import StockDeployment
 from repro.net import World
 from repro.sim import ms, sec
+from repro.workloads import protocol
 from repro.workloads.base import ClientStats, ComputeWorkload, ServerWorkload
 from repro.workloads.catalog import PAPER_BENCHMARKS, WORKLOADS, make_workload
-from repro.workloads.kvstore import KvServer
+from repro.workloads.clients import PipelinedClient, make_client_stack
+from repro.workloads.kvstore import KvRequestFactory, KvServer
 from repro.workloads.microbench import DiskRwWorkload
 from repro.workloads.parsec import ParsecWorkload
 from repro.workloads.webserver import WebServer, web_response
@@ -85,6 +87,77 @@ class TestKvServer:
         for key in range(50):
             raw = process.mm.read(workload.key_page(deployment.container, key))
             assert raw.startswith(f"k{key:06d}=init".encode())
+
+
+def _kv_batch(batch_size=6, i=0):
+    """One KV batch with the results a correct server returns for it."""
+    factory = KvRequestFactory(KvServer(n_keys=100, value_len=24), World(seed=1), batch_size)
+    store = dict(factory.shadow)
+    body, check, _ops = factory(i)
+    results = []
+    for op, key, value in protocol.decode_body(body)[1]:
+        if op == "set":
+            store[key] = value
+            results.append("OK")
+        else:
+            results.append(store[key])
+    return check, results
+
+
+class TestKvResponseCheck:
+    def test_exact_results_accepted(self):
+        check, results = _kv_batch()
+        assert check(protocol.encode_body(("RESULTS", results))) is None
+
+    def test_shifted_positions_rejected(self):
+        # The right get values, but each moved ahead of its set's "OK":
+        # filtering out the "OK"s and comparing the rest would accept it.
+        check, results = _kv_batch()
+        gets = [r for r in results if r != "OK"]
+        shifted = [v for get in gets for v in (get, "OK")]
+        assert sorted(shifted) == sorted(results) and shifted != results
+        failure = check(protocol.encode_body(("RESULTS", shifted)))
+        assert failure is not None and failure.startswith("result 0:")
+
+    @pytest.mark.parametrize(
+        "response, reason",
+        [
+            (b"('RESULTS', ['OK',", "undecodable"),
+            (b"('RESULTS', 'OK')", "expected a list"),
+            (b"('ERROR', [])", "bad response"),
+            (b"\xff", "undecodable"),
+        ],
+    )
+    def test_malformed_response_explained(self, response, reason):
+        check, _results = _kv_batch()
+        assert reason in check(response)
+
+    def test_undecodable_response_is_a_validation_failure(self):
+        # A garbage reply must land in the request's validation failure,
+        # not escape the client process as an exception.
+        world = World(seed=3)
+        stack = make_client_stack(world, "garbage-srv")
+        srv = stack.socket()
+        srv.listen(6379)
+
+        def server():
+            conn = yield srv.accept()
+            buf = b""
+            body = None
+            while body is None:
+                buf += yield conn.recv(1 << 16)
+                body, buf = protocol.peel_frame(buf)
+            conn.send(protocol.frame(b"('RESULTS', [garbage"))
+
+        world.engine.process(server(), name="garbage-server")
+        factory = KvRequestFactory(KvServer(n_keys=100, value_len=24), world, 6)
+        stats = ClientStats()
+        client = PipelinedClient(world, stack.ip, 6379, factory, stats, n_requests=1)
+        client.start()
+        world.run(until=sec(1))
+        assert client.done and stats.completed == 1
+        assert len(stats.validation_failures) == 1
+        assert stats.validation_failures[0].startswith("req 0: undecodable response")
 
 
 class TestWebServer:
