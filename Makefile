@@ -24,13 +24,13 @@ races:
 	PYTHONPATH=src $(PYTHON) -m repro races --fuzz
 
 # CI subset: coverage check, detector probe and a 3-schedule fuzz on one
-# workload/seed, plus both regression knobs (which MUST be flagged).
+# workload/seed.  The two historical races are re-created by the
+# ack-before-commit / release-oldest mutants (tests/mutants.py) in
+# tier-1: pytest tests/replication/test_race_regressions.py.
 races-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro races --check-access
 	PYTHONPATH=src $(PYTHON) -m repro races --smoke
 	PYTHONPATH=src $(PYTHON) -m repro races --fuzz --smoke
-	PYTHONPATH=src $(PYTHON) -m repro races --smoke --knob ack-before-commit > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro races --smoke --knob release-oldest > /dev/null
 
 # Checkpoint state-coverage analyzer (ckptcov, # ckpt: annotations):
 # inventory selfcheck, CKPT1xx lint against the checked-in known-gap
@@ -73,46 +73,43 @@ perf-bench:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --out BENCH_engine.json
 
 # Nondeterminism-provenance analyzer (ndflow, # nd: annotations):
-# inventory selfcheck, NDF lint against the checked-in baseline (only the
-# unsafe_unlogged_draw knob is frozen there), the record->replay oracle
-# over the default matrix, and the knob probe (the oracle MUST detect the
-# unlogged draw).
+# inventory selfcheck, NDF lint against the checked-in (empty) baseline
+# and the record->replay oracle over the default matrix.  The
+# unlogged-draw mutant (tests/mutants.py) is probed in tier-1:
+# pytest tests/analysis -k "unlogged or knob_divergence".
 ndflow:
 	PYTHONPATH=src $(PYTHON) -m repro ndflow selfcheck
 	PYTHONPATH=src $(PYTHON) -m repro ndflow lint --baseline ndflow-baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro ndflow replay
-	PYTHONPATH=src $(PYTHON) -m repro ndflow replay --knob unsafe-unlogged-draw > /dev/null
 
 # CI subset: baselined lint (selfcheck is implicit) + a one-workload
-# record->replay matrix and the same knob probe.
+# record->replay matrix.
 ndflow-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro ndflow lint --baseline ndflow-baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro ndflow replay --smoke
-	PYTHONPATH=src $(PYTHON) -m repro ndflow replay --smoke --knob unsafe-unlogged-draw > /dev/null
 
 # Recovery-path coverage analyzer (ftcov, # ft: annotations):
-# failure-surface inventory selfcheck, FTC lint against the frozen
-# baseline, the full-catalog coverage recorder (every fault point / state
-# edge / handler crossed against the static inventory), and the
-# drop-scenario knob polarity probe.
+# failure-surface inventory selfcheck, FTC lint against the checked-in
+# (empty) baseline and the full-catalog coverage recorder (every fault
+# point / state edge / handler crossed against the static inventory).
+# The drop-scenario mutant (tests/mutants.py) is probed in tier-1:
+# pytest tests/analysis -k drop_scenario.
 ftcov:
 	PYTHONPATH=src $(PYTHON) -m repro ftcov selfcheck
 	PYTHONPATH=src $(PYTHON) -m repro ftcov lint --baseline ftcov-baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro ftcov record --json-out coverage-matrix.json
-	PYTHONPATH=src $(PYTHON) -m repro ftcov record --knob drop-scenario > /dev/null
 
 # CI subset: the catalogs are already the minimal sufficient set (every
-# registered point has exactly one arming scenario), so smoke only drops
-# the knob re-run's report noise.
+# registered point has exactly one arming scenario), so smoke is the same
+# record minus the selfcheck (implicit in lint).
 ftcov-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro ftcov lint --baseline ftcov-baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro ftcov record --json-out coverage-matrix.json
-	PYTHONPATH=src $(PYTHON) -m repro ftcov record --knob drop-scenario > /dev/null
 
 # All six analyzer passes (nlint, races, ckptcov, perf, ndflow, ftcov) as
 # one gate with a merged findings artifact; this is what CI runs.  The
 # static steps share one parsed source tree (one parse per file, each
-# selfcheck once); it also runs ftcov-smoke's three commands, and the
+# selfcheck once); it also runs ftcov-smoke's two commands, and the
 # hycor bench is left to hycor-smoke.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --json-out analyze-report.json

@@ -5,7 +5,7 @@ Runs all six analyzer families — nlint (DET/CKPT/RACE/ORD), races
 oracle), perf (PERF + profiler + bench gate), ndflow (NDF +
 record→replay oracle), and ftcov (FTC + catalog coverage crossref) —
 through their real CLI entry points, so each step keeps its exact gate
-semantics (baselines, knob polarity, selfchecks).  The aggregate exit
+semantics (baselines, selfchecks).  The aggregate exit
 code is the max over steps.
 
 Every step reads one shared :class:`~repro.analysis.framework.SourceTree`:
@@ -34,10 +34,6 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("races", ("races", "--check-access"), ("races", "--check-access")),
     ("races", ("races", "--smoke"), ("races",)),
     ("races", ("races", "--fuzz", "--smoke"), ("races", "--fuzz")),
-    ("races", ("races", "--smoke", "--knob", "ack-before-commit"),
-     ("races", "--knob", "ack-before-commit")),
-    ("races", ("races", "--smoke", "--knob", "release-oldest"),
-     ("races", "--knob", "release-oldest")),
     ("ckptcov", ("ckptcov", "selfcheck"), ("ckptcov", "selfcheck")),
     ("ckptcov",
      ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--diff",
@@ -53,17 +49,12 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("ndflow", ("ndflow", "lint", "--baseline", "ndflow-baseline.json"),
      ("ndflow", "lint", "--baseline", "ndflow-baseline.json")),
     ("ndflow", ("ndflow", "replay", "--smoke"), ("ndflow", "replay")),
-    ("ndflow",
-     ("ndflow", "replay", "--smoke", "--knob", "unsafe-unlogged-draw"),
-     ("ndflow", "replay", "--knob", "unsafe-unlogged-draw")),
     ("ftcov", ("ftcov", "selfcheck"), ("ftcov", "selfcheck")),
     ("ftcov", ("ftcov", "lint", "--baseline", "ftcov-baseline.json"),
      ("ftcov", "lint", "--baseline", "ftcov-baseline.json")),
     # Writes the coverage matrix CI uploads as an artifact.
     ("ftcov", ("ftcov", "record", "--json-out", "coverage-matrix.json"),
      ("ftcov", "record", "--json-out", "coverage-matrix.json")),
-    ("ftcov", ("ftcov", "record", "--knob", "drop-scenario"),
-     ("ftcov", "record", "--knob", "drop-scenario")),
 )
 
 #: Static pass -> baseline file (nlint has none: its findings are errors).

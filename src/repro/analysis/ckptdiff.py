@@ -313,8 +313,8 @@ def run_oracle(
     backup host, deep-compare, and classify every diff against the static
     pass's coverage verdicts.
 
-    *config* is the :class:`~repro.criu.config.CriuConfig` for both sides
-    (tests pass ``unsafe_drop_dump`` knobs through it); *static_uncovered*
+    *config* is the :class:`~repro.criu.config.CriuConfig` for both sides;
+    *static_uncovered*
     overrides the ``(class, field)`` set used to split confirmed gaps from
     analyzer bugs (defaults to a fresh :func:`analyze_coverage` run).
     """

@@ -34,9 +34,10 @@ Three layers:
   analyzer frame (:class:`~repro.analysis.linter.Finding`, per-line
   suppressions, ``--select``/``--ignore``, the shared baseline gate
   with ``ftcov-baseline.json``).  An accounted site is not flagged; a
-  site annotated ``unsafe`` stays flagged — that is how the
-  ``UNSAFE_DROP_SCENARIO`` regression knob keeps a frozen baseline
-  entry without failing the selfcheck.
+  site annotated ``unsafe`` stays flagged — that is how an
+  ``UNSAFE_*`` catalog constant (the ``drop-scenario`` mutant's source
+  overlay in ``tests/mutants.py``) is reported without failing the
+  selfcheck.
 
 Rule catalog (see ``docs/ftcov.md``):
 
@@ -93,8 +94,7 @@ __all__ = [
 #:                why-text names the bound);
 #: ``backlog``    known coverage gap filed as a missing scenario — the
 #:                why-text must carry ``scenario: <name>``;
-#: ``unsafe``     declared hazard — stays flagged by the FTC rules
-#:                (regression knobs live here, frozen in the baseline).
+#: ``unsafe``     declared hazard — stays flagged by the FTC rules.
 FT_CLASSES = frozenset(
     {"exercised", "defensive", "teardown", "bounded", "backlog", "unsafe"}
 )

@@ -33,10 +33,11 @@ ROADMAP "scenario diversity" item asks for.  The coverage matrix digest
 is a CRC32 over the sorted counters (:func:`~repro.sim.profiler.
 counter_digest`), so two same-catalog runs must agree bit-for-bit.
 
-The ``drop-scenario`` knob (``UNSAFE_DROP_SCENARIO``) silently removes
-the only scenario arming ``backup.mid_commit`` from the pair catalog;
-the knob run *passes* only if the crossref reports exactly that fired
-gap — the dynamic witness paired with the FTC002 baseline entry.
+The ``drop-scenario`` mutant in ``tests/mutants.py`` silently removes the
+only scenario arming ``backup.mid_commit`` from the pair catalog; the
+test over that run passes only if the crossref reports exactly that
+fired gap — the dynamic witness paired with FTC002 on an ``UNSAFE_*``
+catalog constant overlaid on the tree.
 """
 
 from __future__ import annotations
@@ -46,15 +47,11 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.sim.profiler import counter_digest
 
 __all__ = [
-    "FTCOV_KNOBS",
     "FtcovRecorder",
     "crossref_coverage",
     "format_report",
     "run_ftcov_record",
 ]
-
-#: Knob name -> what the seeded gap must look like.
-FTCOV_KNOBS = ("drop-scenario",)
 
 #: Campaign constants: one deterministic cell per pair scenario (the
 #: campaign's own first seed and workload), the fleet default seed, the
@@ -195,19 +192,12 @@ def crossref_coverage(
     }
 
 
-def _pair_point_names() -> set[str]:
-    from repro.faultinject.points import FAULT_POINTS, FLEET_FAULT_POINTS
-
-    return set(FAULT_POINTS) - set(FLEET_FAULT_POINTS)
-
-
 # --------------------------------------------------------------------- #
 # The catalog runner                                                     #
 # --------------------------------------------------------------------- #
 
 
 def run_ftcov_record(
-    knob: str | None = None,
     pair_scenarios: Iterable[str] | None = None,
     fleet_scenarios: Iterable[str] | None = None,
     traffic_events: Iterable[str] | None = None,
@@ -216,28 +206,18 @@ def run_ftcov_record(
 ) -> dict[str, Any]:
     """Run the catalogs under one coverage recorder and gate on crossref.
 
-    Default (no *knob*): the full pair catalog, the full fleet catalog
-    and both event-carrying traffic profiles; the gate requires every
-    run's own oracles green AND zero coverage gaps.
+    Default: the full pair catalog, the full fleet catalog and both
+    event-carrying traffic profiles; the gate requires every run's own
+    oracles green AND zero coverage gaps.
 
-    ``knob="drop-scenario"``: the pair catalog minus
-    ``UNSAFE_DROP_SCENARIO`` (fleet/traffic skipped — the seeded gap
-    lives in the pair registry); the gate *passes* only when the
-    crossref reports exactly the dropped scenario's fired gap.
-
-    The scenario subsets exist for the determinism test (same subset
-    twice -> identical digest), not for production use.  *inventory* is
-    the static ftcov inventory to cross against (built fresh if None).
+    The scenario subsets exist for tests (same subset twice -> identical
+    digest; the pair catalog alone for the drop-scenario mutant), not for
+    production use.  *inventory* is the static ftcov inventory to cross
+    against (built fresh if None).
     """
-    if knob is not None and knob not in FTCOV_KNOBS:
-        raise KeyError(f"unknown ftcov knob {knob!r} (use {FTCOV_KNOBS})")
-
     from repro.experiments.faultcampaign import run_phase_injection
     from repro.experiments.traffic import run_traffic_event
-    from repro.faultinject.scenarios import (
-        UNSAFE_DROP_SCENARIO,
-        scenario_names,
-    )
+    from repro.faultinject.scenarios import scenario_names
     from repro.fleet.scenarios import FLEET_SCENARIOS, run_fleet_scenario
     from repro.net.world import reset_id_counters
 
@@ -254,10 +234,6 @@ def run_ftcov_record(
                    else list(FLEET_SCENARIOS))
     events = (list(traffic_events) if traffic_events is not None
               else ["failover", "migration"])
-    if knob == "drop-scenario":
-        pair_names = [n for n in pair_names if n != UNSAFE_DROP_SCENARIO]
-        fleet_names = []
-        events = []
 
     for name in pair_names:
         note(f"pair {name}")
@@ -293,40 +269,13 @@ def run_ftcov_record(
     crossref = crossref_coverage(recorder.counters, inventory)
     runs_ok = all(run["ok"] for run in runs)
 
-    if knob == "drop-scenario":
-        # Polarity gate: with the catalog mutilated, the *absence* of the
-        # seeded gap is the failure.  Only pair-registry gaps count (the
-        # fleet/traffic catalogs were deliberately not run).
-        pair_points = _pair_point_names()
-        pair_gaps = sorted(
-            g for g in crossref["gaps"]
-            if g.split(":", 1)[0] in ("point-unreached", "point-unfired")
-            and g.split(":", 2)[1].split(" ")[0] in pair_points
-        )
-        expected = (
-            f"point-unfired:{UNSAFE_DROP_SCENARIO.split('@', 1)[1]}"
-        )
-        seeded = [g for g in pair_gaps if g.startswith(expected)]
-        unexpected = [g for g in pair_gaps if not g.startswith(expected)]
-        ok = runs_ok and bool(seeded) and not unexpected
-        verdict = {
-            "expected_gap": expected,
-            "seeded_gap_detected": bool(seeded),
-            "unexpected_gaps": unexpected,
-        }
-    else:
-        ok = runs_ok and not crossref["gaps"]
-        verdict = {}
-
     return {
-        "mode": "knob" if knob else "record",
-        "knob": knob,
+        "mode": "record",
         "runs": runs,
         "runs_ok": runs_ok,
         "counters": dict(sorted(recorder.counters.items())),
         "digest": recorder.digest(),
-        "ok": ok,
-        **verdict,
+        "ok": runs_ok and not crossref["gaps"],
         **crossref,
     }
 
@@ -358,16 +307,8 @@ def format_report(report: dict[str, Any]) -> str:
     lines.append("inject entry points:")
     for name, count in sorted(report["injects"].items()):
         lines.append(f"  {name:<38} {count:>6}")
-    if report["mode"] == "knob":
-        lines.append(
-            f"knob gate: expected {report['expected_gap']} — "
-            f"{'detected' if report['seeded_gap_detected'] else 'MISSING'}"
-        )
-        for gap in report.get("unexpected_gaps", ()):
-            lines.append(f"  unexpected gap: {gap}")
-    else:
-        for gap in report["gaps"]:
-            lines.append(f"  GAP: {gap}")
+    for gap in report["gaps"]:
+        lines.append(f"  GAP: {gap}")
     if report["missing_scenarios"]:
         lines.append("missing-scenario backlog (annotated, not gating):")
         for entry in report["missing_scenarios"]:

@@ -8,9 +8,9 @@ from two directions:
   happens-before detector installed (and a phase-pinned duplicate-ack link
   race armed, so the dangerous reorder window of the pop-oldest release
   bug is actually exercised) and reports every unordered conflicting
-  access.  ``knob=`` re-enables the historical
-  ``unsafe_ack_before_commit`` / ``unsafe_release_oldest_barrier``
-  regressions so tests can prove the detector flags each pre-fix race.
+  access.  Tests re-create the two historical races with the
+  ``ack-before-commit`` / ``release-oldest`` mutants of
+  ``tests/mutants.py`` to prove the detector flags each pre-fix race.
 * :func:`run_fuzz` replays each workload under N seeded deterministic
   tie-break permutations (plus a reversal) of same-timestamp orderings
   and diffs trace + metrics digests against the insertion-order baseline:
@@ -171,8 +171,8 @@ def _dup_ack_plan(world, deployment):
     """Arm the pop-oldest reorder window: duplicate the ack of epoch
     TARGET-1 and hold the copy until barrier TARGET has just been inserted
     (the exact window the `_dup_ack_then_crash` campaign scenario uses).
-    Harmless under the fixed cumulative release; under
-    ``unsafe_release_oldest_barrier`` it pops epoch TARGET's barrier with
+    Harmless under the fixed cumulative release; under the
+    ``release-oldest`` mutant it pops epoch TARGET's barrier with
     only TARGET-1 acknowledged — which the detector flags as an ordered
     read of a never-written commit record."""
     from repro.faultinject.plan import FaultPlan, LinkFault
@@ -276,49 +276,29 @@ def run_instrumented(
 
 
 # --------------------------------------------------------------------------- #
-# Probe mode (happens-before detection, optional regression knobs)            #
+# Probe mode (happens-before detection)                                       #
 # --------------------------------------------------------------------------- #
-
-#: ``--knob`` name -> NiliconConfig override re-enabling a pre-fix race.
-KNOBS = {
-    "ack-before-commit": {"unsafe_ack_before_commit": True},
-    "release-oldest": {"unsafe_release_oldest_barrier": True},
-}
 
 
 def run_race_probe(
     workloads: tuple[str, ...] = ("net",),
     seeds: tuple[int, ...] = (1, 2, 3),
     run_ms: int = 900,
-    knob: str | None = None,
 ) -> dict:
     """Detector sweep: each workload x seed with the reorder window armed.
 
     Returns a report dict; ``ok`` is True when no unordered conflicting
     access (and no output-commit audit violation) was observed.
     """
-    from repro.replication.config import NiliconConfig
-
-    config = NiliconConfig.nilicon()
-    if knob is not None:
-        if knob not in KNOBS:
-            raise KeyError(f"unknown knob {knob!r}; have {sorted(KNOBS)}")
-        config = config.with_(**KNOBS[knob])
-
-    runs = []
-    for workload in workloads:
-        for seed in seeds:
-            runs.append(
-                run_instrumented(
-                    workload, seed, run_ms=run_ms, config=config,
-                    arm_plan=_dup_ack_plan,
-                )
-            )
+    runs = [
+        run_instrumented(workload, seed, run_ms=run_ms, arm_plan=_dup_ack_plan)
+        for workload in workloads
+        for seed in seeds
+    ]
     findings = [f for r in runs for f in r.findings]
     audit = [v for r in runs for v in r.audit_violations]
     return {
         "mode": "probe",
-        "knob": knob,
         "ok": not findings and not audit,
         "runs": [r.as_dict() for r in runs],
         "findings": [f.as_dict() for f in findings],
@@ -438,9 +418,8 @@ def write_golden(path: str) -> None:
 def format_report(report: dict) -> str:
     lines = []
     if report["mode"] == "probe":
-        knob = f" (knob: {report['knob']})" if report.get("knob") else ""
         lines.append(
-            f"race probe{knob}: {len(report['runs'])} run(s), "
+            f"race probe: {len(report['runs'])} run(s), "
             f"{report['accesses_recorded']} accesses tracked"
         )
         for f in report["findings"]:

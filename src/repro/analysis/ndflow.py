@@ -34,8 +34,8 @@ Three layers:
   suppressions, ``--select``/``--ignore``, the shared baseline gate with
   ``ndflow-baseline.json``).  A source annotated with an accepted class is
   *accounted* and not flagged; one annotated ``unsafe`` stays flagged —
-  that is how the ``unsafe_unlogged_draw`` regression knob keeps a frozen
-  baseline entry without failing the selfcheck.
+  that is how the ``unlogged-draw`` mutant's source overlay
+  (``tests/mutants.py``) is reported without failing the selfcheck.
 
 Rule catalog (see ``docs/ndflow.md``):
 
@@ -95,8 +95,7 @@ __all__ = [
 #: ``counter``  a module-level id counter rewound by reset_id_counters();
 #: ``config``   a timing knob pinned by configuration, not drawn at all;
 #: ``exempt``   analysis/bench instrument, never part of a replayed run;
-#: ``unsafe``   declared replay hazard — stays flagged by the NDF rules
-#:              (regression knobs live here, frozen in the baseline).
+#: ``unsafe``   declared replay hazard — stays flagged by the NDF rules.
 ND_CLASSES = frozenset(
     {"seed", "logged", "counter", "config", "exempt", "unsafe"}
 )

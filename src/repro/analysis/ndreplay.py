@@ -17,11 +17,10 @@ NDLog captures every nondeterministic input*.  For each catalog workload:
    :class:`~repro.sim.ndlog.ReplayDivergence` (naming the stream and
    sequence number) or as a digest mismatch.
 
-The ``unsafe-unlogged-draw`` knob re-enables a consumer that bypasses the
-log (``replication/primary.py``); with it armed the oracle must *fail* on
-every cell — the dynamic witness confirming the static NDF001/NDF003
-findings, exactly how ``repro races --knob`` and ``repro perf crossref``
-pair their static and dynamic layers.
+The ``unlogged-draw`` mutant in ``tests/mutants.py`` adds a consumer that
+bypasses the log (in ``replication/primary.py``); under it the oracle must
+report a divergence — the dynamic witness paired with the static
+NDF001/NDF003 findings on the same source overlaid on the tree.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.analysis.ndflow import build_nd_inventory
 from repro.sim.ndlog import NDLog, ReplayDivergence, TIEBREAK_STREAM
 
 __all__ = [
-    "KNOBS",
     "crossref_streams",
     "golden_ndlog_digests",
     "run_oracle",
@@ -43,11 +41,6 @@ __all__ = [
     "run_roundtrip",
     "write_ndlog_golden",
 ]
-
-#: ``--knob`` name -> NiliconConfig override re-enabling an unlogged draw.
-KNOBS = {
-    "unsafe-unlogged-draw": {"unsafe_unlogged_draw": True},
-}
 
 #: Catalog cells the smoke/golden paths use (full catalog in tests).
 DEFAULT_WORKLOADS = ("net", "disk-rw")
@@ -129,41 +122,20 @@ def run_oracle(
     workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
     run_ms: int = DEFAULT_RUN_MS,
-    knob: str | None = None,
 ) -> dict:
-    """The full oracle sweep.
-
-    Without a knob, ``ok`` means every cell replayed identical.  With a
-    knob armed, the polarity flips: ``ok`` means the sweep *diverged
-    somewhere* — the oracle proved it can catch the regression (any-cell,
-    like ``repro races --knob``: the unlogged draw is OS entropy, so a
-    single lucky cell may still happen to replay clean).
-    """
-    from repro.replication.config import NiliconConfig
-
-    config = NiliconConfig.nilicon()
-    if knob is not None:
-        if knob not in KNOBS:
-            raise KeyError(f"unknown knob {knob!r}; have {sorted(KNOBS)}")
-        config = config.with_(**KNOBS[knob])
-
+    """The full oracle sweep; ``ok`` means every cell replayed identical."""
     cells = [
-        run_roundtrip(workload, seed, run_ms=run_ms, config=config)
+        run_roundtrip(workload, seed, run_ms=run_ms)
         for workload in workloads
         for seed in seeds
     ]
-    if knob is None:
-        ok = all(cell["identical"] for cell in cells)
-    else:
-        ok = any(not cell["identical"] for cell in cells)
     return {
         "mode": "replay-oracle",
         "workloads": list(workloads),
         "seeds": list(seeds),
         "run_ms": run_ms,
-        "knob": knob,
         "cells": cells,
-        "ok": ok,
+        "ok": all(cell["identical"] for cell in cells),
     }
 
 
@@ -345,8 +317,5 @@ def format_report(report: dict) -> str:
                     )
                 if cell["unconsumed"]:
                     lines.append(f"    unconsumed draws: {cell['unconsumed']}")
-    status = "OK" if report["ok"] else "FAIL"
-    if report.get("knob"):
-        status += f" (knob {report['knob']}: divergence expected)"
-    lines.append(status)
+    lines.append("OK" if report["ok"] else "FAIL")
     return "\n".join(lines)

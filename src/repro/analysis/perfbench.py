@@ -15,8 +15,8 @@ Two jobs, deliberately separated:
   events/sec and pages-digested/sec on catalog workloads, times the fleet
   campaign, and records the before/after of each landed optimization
   (engine run() fast path vs the legacy peek/step loop, the page-digest
-  generation cache vs the ``perf_unoptimized_digest`` re-hash-everything
-  knob, the host-pool occupancy index vs the ``_load_scan`` reference,
+  generation cache vs the :class:`RehashEverythingDigestCache` reference,
+  the host-pool occupancy index vs the ``_load_scan`` reference,
   the wire decoder vs whole-frame ``ast.literal_eval``).
   The result is ``BENCH_engine.json``; :func:`check_bench` is the CI gate
   that fails on a >20% events/sec regression against it.
@@ -32,19 +32,26 @@ from __future__ import annotations
 import json
 import statistics
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.analysis.linter import Finding
+from repro.kernel.costmodel import PAGE_SIZE
+from repro.replication.statecache import PageDigestCache
 from repro.sim.profiler import counter_digest, install_profiler
 from repro.sim.units import ms
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.criu.images import CheckpointImage
 
 __all__ = [
     "BENCH_SCHEMA",
     "HOT_THRESHOLD",
     "PERF_BENCH_WORKLOADS",
     "ProfiledRun",
+    "RehashEverythingDigestCache",
     "check_bench",
     "crossref",
     "run_perf_bench",
@@ -224,9 +231,12 @@ def crossref(
 # --------------------------------------------------------------------------- #
 
 
-def _timed_run(workload_name: str, run_ms: int, seed: int, config=None):
-    """One unprofiled timed run; returns ``(deployment, events, wall_s)``."""
-    world, workload, deployment = _build_deployment(workload_name, seed, config)
+def _timed_run(workload_name: str, run_ms: int, seed: int, digest_cache=None):
+    """One unprofiled timed run; returns ``(deployment, events, wall_s)``.
+    *digest_cache* replaces the primary agent's page-digest cache."""
+    world, workload, deployment = _build_deployment(workload_name, seed)
+    if digest_cache is not None:
+        deployment.primary_agent.digest_cache = digest_cache
     _launch_clients(world, workload, run_ms)
     engine = world.engine
     start = _wall()
@@ -311,18 +321,45 @@ def _bench_engine_loop(n_events: int = 240_000) -> dict[str, Any]:
     }
 
 
+class RehashEverythingDigestCache(PageDigestCache):
+    """The reference the page-digest generation cache is benchmarked
+    against: every epoch it re-hashes the container's entire resident set,
+    clean or not.  Same digests and counters as the cache, except that
+    ``cache_hits`` stays 0."""
+
+    #: Deliberately the re-hash-everything loop PERF002 exists to flag.
+    __perf_exempt__ = True
+
+    def digest_image(
+        self, image: "CheckpointImage", processes: Iterable[Any] = ()
+    ) -> dict[str, int]:
+        self.generation += 1
+        crc_cache = self._crc
+        for process in processes:
+            pid = process.pid
+            pages = process.mm.pages
+            for idx in sorted(pages):
+                crc_cache[(pid, idx)] = zlib.crc32(pages[idx])
+                self.pages_digested += 1
+                self.bytes_hashed += PAGE_SIZE
+        return {
+            f"{pimage.pid}:{idx}": crc_cache[(pimage.pid, idx)]
+            for pimage in image.processes
+            for idx in sorted(pimage.pages)
+        }
+
+
 def _bench_digest_cache(run_ms: int, seed: int) -> dict[str, Any]:
     """Before/after of the page-digest generation cache: the
-    ``perf_unoptimized_digest`` knob re-hashes the whole resident set every
-    epoch; the cache hashes dirty pages only."""
-    from repro.replication.config import NiliconConfig
-
+    :class:`RehashEverythingDigestCache` reference re-hashes the whole
+    resident set every epoch; the cache hashes dirty pages only."""
     # streamcluster has the catalog's largest resident set (55k pages) with
     # a small per-epoch dirty set — the shape the generation cache exists
     # for, and the shape where re-hash-everything hurts most.
     workload = "streamcluster"
-    unopt = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    before_dep, _, wall_before = _timed_run(workload, run_ms, seed, config=unopt)
+    before_dep, _, wall_before = _timed_run(
+        workload, run_ms, seed, digest_cache=RehashEverythingDigestCache()
+    )
     after_dep, _, wall_after = _timed_run(workload, run_ms, seed)
     before_cache = before_dep.primary_agent.digest_cache
     after_cache = after_dep.primary_agent.digest_cache

@@ -33,8 +33,8 @@ Protocol code reports accesses to shared structures via
   happens-before-ordered write to the same field at *any* time; e.g.
   releasing epoch *e*'s output barrier demands the backup's commit of
   epoch *e* happen-before it.  A missing or unordered write is a finding
-  — this is exactly how the ``unsafe_ack_before_commit`` and
-  ``unsafe_release_oldest_barrier`` regressions surface.
+  — this is exactly how the ``ack-before-commit`` and ``release-oldest``
+  mutants (``tests/mutants.py``) surface.
 
 The :data:`TRACKED_STATE` registry declares, per module, which logical
 fields that module mutates; :func:`verify_access_coverage` walks the ASTs

@@ -589,14 +589,11 @@ def _cmd_ndflow(args) -> int:
         if args.action == "record":
             report = run_record(workloads, seeds, run_ms=args.run_ms)
         else:
-            report = run_oracle(workloads, seeds, run_ms=args.run_ms,
-                                knob=args.knob)
+            report = run_oracle(workloads, seeds, run_ms=args.run_ms)
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print(format_report(report))
-        # With --knob the polarity is already folded into ok: every cell
-        # must have DIVERGED (the oracle proved it catches the regression).
         return 0 if report["ok"] else 1
 
     def sources(report) -> None:
@@ -615,11 +612,7 @@ def _cmd_ftcov(args) -> int:
         from repro.analysis.ftreplay import format_report, run_ftcov_record
 
         inventory = get_analyzer("ftcov").report(_package(args)).inventory
-        try:
-            report = run_ftcov_record(knob=args.knob, inventory=inventory)
-        except KeyError as exc:
-            print(f"repro ftcov: {exc.args[0]}", file=sys.stderr)
-            return 2
+        report = run_ftcov_record(inventory=inventory)
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
@@ -629,8 +622,6 @@ def _cmd_ftcov(args) -> int:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"repro ftcov: wrote {args.json_out}")
-        # With --knob the polarity is already folded into ok: the seeded
-        # coverage gap must have been DETECTED.
         return 0 if report["ok"] else 1
 
     def sites(report) -> None:
@@ -688,15 +679,11 @@ def _cmd_races(args) -> int:
             workloads=workloads or ("net",),
             seeds=seeds or ((1,) if args.smoke else (1, 2, 3)),
             run_ms=max(args.run_ms, 900),
-            knob=args.knob,
         )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(format_report(report))
-    if args.knob:
-        # Regression probe: the detector MUST flag the re-enabled race.
-        return 0 if report["findings"] else 1
     return 0 if report["ok"] else 1
 
 
@@ -1102,10 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record/replay: seeds (default: 1 2)")
     ndflow.add_argument("--run-ms", type=int, default=600,
                         help="record/replay: simulated run length per cell")
-    ndflow.add_argument("--knob", choices=("unsafe-unlogged-draw",),
-                        default=None,
-                        help="replay: re-enable an unlogged draw; exit 0 iff "
-                             "every cell diverges")
     ndflow.add_argument("--smoke", action="store_true",
                         help="reduced CI matrix: net workload, seeds 1 2")
 
@@ -1118,9 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
     ftcov.add_argument("--inventory", action="store_true",
                        help="lint: also print the classified failure-surface "
                             "inventory")
-    ftcov.add_argument("--knob", choices=("drop-scenario",), default=None,
-                       help="record: drop UNSAFE_DROP_SCENARIO from the "
-                            "catalog; exit 0 iff the coverage gap is caught")
     ftcov.add_argument("--json-out", default=None, metavar="FILE",
                        help="record: also write the coverage matrix here")
 
@@ -1141,10 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
     races.add_argument("--fuzz", action="store_true",
                        help="replay under permuted same-timestamp orderings "
                             "and diff trace/metrics digests")
-    races.add_argument("--knob", choices=("ack-before-commit", "release-oldest"),
-                       default=None,
-                       help="re-enable a historical race; exit 0 iff the "
-                            "detector flags it")
     races.add_argument("--check-access", action="store_true",
                        help="verify every tracked shared field has "
                             "record_access instrumentation and exit")

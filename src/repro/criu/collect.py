@@ -128,20 +128,11 @@ class StateCollector:
         for process in container.processes:
             file_stats = yield from self.kernel.procfs.stat_mapped_files(process)
             stats.extend(file_stats)
-        components = {
+        return {
             "namespaces": container.namespaces.describe(),
             "cgroup": container.cgroup.describe(),
             "mapped_file_stats": stats,
         }
-        # Test knob: deliberately drop a dump site ("cgroup.cpuacct_usage_us")
-        # so the differential oracle can prove it detects the resulting state
-        # divergence.  Never set outside coverage tests.
-        for dotted in self.config.unsafe_drop_dump:
-            component, _, key = dotted.partition(".")
-            target = components.get(component)
-            if isinstance(target, dict):
-                target.pop(key, None)
-        return components
 
     # ------------------------------------------------------------------ #
     # Filesystem cache (SSIII)                                             #

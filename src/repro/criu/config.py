@@ -36,10 +36,6 @@ class CriuConfig:
     use_proxy_processes: bool = False
     #: Apply the repaired-socket minimum-RTO kernel patch (§V-E).
     repair_rto_patch: bool = True
-    #: Coverage-test knob: "component.key" entries removed from the
-    #: infrequent-state dump (e.g. ``("cgroup.cpuacct_usage_us",)``) so the
-    #: ckptcov differential oracle can prove it catches a deleted dump site.
-    unsafe_drop_dump: tuple[str, ...] = ()
 
     @classmethod
     def stock(cls) -> "CriuConfig":

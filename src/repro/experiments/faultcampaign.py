@@ -11,8 +11,9 @@ consistency) after every cell.
 The full matrix (`every scenario × ≥2 workloads × ≥5 seeds`) must report
 zero violations; the reduced smoke matrix (one workload, every scenario,
 3 seeds) runs in CI via ``make faultcampaign-smoke``.  Regression tests
-re-run the sensitive cells with the ``unsafe_*`` config knobs to prove the
-campaign catches the races the fixes removed.
+re-run the sensitive cells under the ``ack-before-commit`` and
+``release-oldest`` mutants (``tests/mutants.py``) to prove the campaign
+catches the races the fixes removed.
 """
 
 from __future__ import annotations

@@ -366,12 +366,3 @@ _register(Scenario(
 
 def scenario_names() -> list[str]:
     return list(SCENARIOS)
-
-
-#: Regression knob for the ftcov gate (``repro ftcov record --knob
-#: drop-scenario``): the catalog run silently skips this scenario, which
-#: is the *only* one arming ``backup.mid_commit`` — so the coverage
-#: crossref must report that point as never fired, and the FTC002 lint
-#: finding below stays frozen in ``ftcov-baseline.json``.  Two witnesses,
-#: one seeded gap, same discipline as ``unsafe_unlogged_draw``.
-UNSAFE_DROP_SCENARIO = "crash@backup.mid_commit"  # ft: unsafe -- ftcov drop-scenario knob; see docs/ftcov.md

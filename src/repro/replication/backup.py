@@ -12,8 +12,8 @@ During normal operation the backup agent:
   the primary release that epoch's buffered network output.  Acking before
   the commit would break output commit: a failover overlapping the commit
   would restore from a partially-applied epoch whose output had already
-  escaped (the ``unsafe_ack_before_commit`` regression knob re-creates
-  exactly that race for the fault campaign).
+  escaped (the ``ack-before-commit`` mutant in ``tests/mutants.py``
+  re-creates exactly that race for the fault campaign).
 
 The backup deliberately maintains **no ready-to-go container** (§III) —
 applying hundreds of in-kernel state changes per epoch would cost too many
@@ -271,11 +271,7 @@ class BackupAgent:
         # carries no release authority (that is the ack, sent post-commit),
         # so the container's stop time stays bounded by the transfer, not
         # by the backup's commit work.
-        self.endpoint.send({"kind": "receipt", "epoch": epoch}, size_bytes=64)
-        if self.config.unsafe_ack_before_commit:
-            # REGRESSION KNOB: the ack-before-commit race.  The primary may
-            # release epoch output that the backup has not made durable yet.
-            self._send_ack(epoch)
+        self._send_receipt(epoch)
         stall = fault_point(self.engine, "backup.post_ack_pre_commit", epoch=epoch)
         if stall:
             yield self.engine.timeout(stall)
@@ -289,11 +285,16 @@ class BackupAgent:
         yield from self._commit_state(epoch, image)
         trace(self.engine, "backup", "committed", epoch=epoch)
         self._after_commit(epoch, delivery.message)
-        if not self.config.unsafe_ack_before_commit:
-            # ACK only once the epoch is durable: the primary may now
-            # release this epoch's buffered output.
-            self._send_ack(epoch)
+        self._ack_commit(epoch)
         return self.committed_epoch
+
+    def _send_receipt(self, epoch: int) -> None:
+        self.endpoint.send({"kind": "receipt", "epoch": epoch}, size_bytes=64)
+
+    def _ack_commit(self, epoch: int) -> None:
+        """ACK only once the epoch is durable: the primary may now release
+        this epoch's buffered output."""
+        self._send_ack(epoch)
 
     def _send_ack(self, epoch: int) -> None:
         self.endpoint.send({"kind": "ack", "epoch": epoch}, size_bytes=64)
@@ -409,6 +410,24 @@ class BackupAgent:
             self.engine.process(self._recover(), name="backup-recover")
         )
 
+    def _quiesce_commits(self) -> None:
+        """Abort any in-flight commit and roll the page store back to the
+        last fully committed checkpoint, so the restore never assembles
+        state from a half-applied epoch."""
+        for process in (self._commit_process, self._dispatch_process):
+            if (
+                process is not None
+                and process.is_alive
+                and process is not self.engine.active_process
+            ):
+                process.interrupt("recovering")
+        record_access(self.engine, self.page_store, "open_checkpoint", "w",
+                      site="backup.recover.abort")
+        self.page_store.abort_checkpoint()
+        record_access(self.engine, self, "epoch_stash", "w",
+                      site="backup.recover.clear_stash")
+        self._out_of_order.clear()
+
     def _recover(self) -> Generator[Any, Any, None]:
         self.failed_over = True
         # Capture the recovery point *now*: this is the last fully
@@ -421,23 +440,7 @@ class BackupAgent:
         costs = self.kernel.costs
         trace(self.engine, "recovery", "detected", committed=self.committed_epoch)
 
-        if not self.config.unsafe_ack_before_commit:
-            # Quiesce: abort any in-flight commit and roll the page store
-            # back to the last fully committed checkpoint, so the restore
-            # below never assembles state from a half-applied epoch.
-            for process in (self._commit_process, self._dispatch_process):
-                if (
-                    process is not None
-                    and process.is_alive
-                    and process is not self.engine.active_process
-                ):
-                    process.interrupt("recovering")
-            record_access(self.engine, self.page_store, "open_checkpoint", "w",
-                          site="backup.recover.abort")
-            self.page_store.abort_checkpoint()
-            record_access(self.engine, self, "epoch_stash", "w",
-                          site="backup.recover.clear_stash")
-            self._out_of_order.clear()
+        self._quiesce_commits()
 
         # Discard everything not committed (uncommitted epochs never became
         # externally visible: their output was still buffered on the primary).

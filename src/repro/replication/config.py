@@ -4,6 +4,11 @@
 walk of Table I; :meth:`NiliconConfig.nilicon` is the fully-optimized
 system; :meth:`NiliconConfig.basic` is the unoptimized port of CRIU+Remus
 that the paper reports at 1940% overhead.
+
+Every field is a deployment setting or one of the paper's optimizations.
+There are no bug modes: the historical output-commit bugs and the
+analyzers' seeded bugs are re-created by the test-side mutant registry
+(``tests/mutants.py``), which patches named functions for one test only.
 """
 
 from __future__ import annotations
@@ -69,39 +74,6 @@ class NiliconConfig:
     #: every epoch boundary and after every restore.  Costs real (host) CPU
     #: but zero simulated time; off by default, on in property tests.
     audit: bool = False
-    #: REGRESSION KNOB — revert the ack-before-commit fix: the backup acks
-    #: an epoch on receipt (before :meth:`BackupAgent._commit_state` runs)
-    #: and recovery neither quiesces an in-flight commit nor rolls back the
-    #: page store's open checkpoint.  A failover overlapping a commit then
-    #: restores from a partially-applied page store while the acked epoch's
-    #: output has already escaped.  Exists only so the fault campaign can
-    #: demonstrate the race; never enable outside tests.
-    unsafe_ack_before_commit: bool = False
-    #: REGRESSION KNOB — disable the page-digest generation cache
-    #: (:class:`~repro.replication.statecache.PageDigestCache`): the
-    #: primary re-hashes the container's entire resident set every epoch
-    #: instead of hashing only the dirty pages and reusing clean pages'
-    #: cached CRCs.  Exists so ``repro perf`` can prove the analyzer flags
-    #: the re-hash-everything loop (PERF002) and the profiler confirms it
-    #: hot, and so BENCH_engine.json can record the cache's before/after;
-    #: never enable outside tests and benches.
-    perf_unoptimized_digest: bool = False
-    #: REGRESSION KNOB — one RNG consumer bypassing the NDLog: the primary
-    #: perturbs its checkpoint timing with a draw from an unseeded,
-    #: unlogged module-level generator (``replication/primary.py``).  The
-    #: ndflow analyzer must flag the site statically (NDF001/NDF003,
-    #: frozen in ``ndflow-baseline.json``) and the record→replay oracle
-    #: must independently report a replay divergence — the same
-    #: two-witness pattern the races/perf knobs use.  Never enable outside
-    #: tests.
-    unsafe_unlogged_draw: bool = False
-    #: REGRESSION KNOB — revert the barrier-release fix: an ack pops the
-    #: *oldest* egress barrier regardless of which epoch was acknowledged,
-    #: so a duplicated or reordered ack releases a later epoch's output
-    #: early (or strands acknowledged output behind the plug).  Exists only
-    #: so the fault campaign can demonstrate the race; never enable outside
-    #: tests.
-    unsafe_release_oldest_barrier: bool = False
     #: Replication strategy backend (:mod:`repro.replication.modes`):
     #: ``"nilicon"`` releases output on checkpoint commit (the paper's
     #: output-commit-per-epoch), ``"hycor"`` ships a per-container

@@ -71,7 +71,6 @@ class ReplicationMode:
         """Constructor kwargs for the deployment's ``NetworkBuffer``."""
         return {
             "input_block": config.input_block,
-            "release_oldest": config.unsafe_release_oldest_barrier,
             "initial_epoch": initial_epoch,
         }
 
@@ -141,7 +140,6 @@ class HycorMode(ReplicationMode):
         start_seq = hycor_flush_seq(container)
         return {
             "input_block": config.input_block,
-            "release_oldest": config.unsafe_release_oldest_barrier,
             "initial_epoch": start_seq + 1,
             "commit_ledger_kind": "log_commit",
         }

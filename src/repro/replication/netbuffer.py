@@ -7,7 +7,9 @@ drains exactly the barriers (and the packets fenced before them) with
 epochs up to *k* — addressed by epoch id and idempotent, so duplicated,
 reordered or dropped acknowledgments can never drain a later epoch's
 barrier.  The audit log records every drained barrier against its own
-epoch so tests can verify the output-commit invariant mechanically.
+epoch so tests can verify the output-commit invariant mechanically; the
+``release-oldest`` mutant (``tests/mutants.py``) re-creates the old
+pop-the-oldest-barrier release to prove the audit catches it.
 
 Input path: during checkpointing (and during restore on the backup),
 incoming packets must not mutate container state.  Two implementations:
@@ -60,7 +62,6 @@ class NetworkBuffer:
         costs: CostModel,
         container: "Container",
         input_block: Literal["plug", "firewall"] = "plug",
-        release_oldest: bool = False,
         initial_epoch: int = 0,
         commit_ledger_kind: str = "epoch_commit",
     ) -> None:
@@ -74,10 +75,6 @@ class NetworkBuffer:
         #: nondeterminism-log flush does).  Barrier ids are then epoch
         #: numbers or flush sequence numbers respectively.
         self.commit_ledger_kind = commit_ledger_kind
-        #: Legacy pop-oldest-barrier release semantics (the non-idempotent
-        #: bug; kept behind ``NiliconConfig.unsafe_release_oldest_barrier``
-        #: so regression tests can demonstrate the failure it causes).
-        self.release_oldest_mode = release_oldest
         #: Highest epoch the backup has acknowledged (set by the primary
         #: agent's ack listener before calling release_epoch).
         self.acked_epoch = initial_epoch - 1
@@ -111,13 +108,6 @@ class NetworkBuffer:
         is recorded against its *own* epoch.  Returns packets released.
         """
         plug = self.container.veth.egress_plug
-        if self.release_oldest_mode:
-            # Legacy bug semantics: pop the oldest barrier unconditionally.
-            barrier_epoch, released = plug.release_oldest()
-            if barrier_epoch is None:
-                return 0
-            self._record_release(barrier_epoch, released)
-            return released
         total = 0
         for barrier_epoch, released in plug.release_through(epoch):
             self._record_release(barrier_epoch, released)

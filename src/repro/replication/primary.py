@@ -23,7 +23,6 @@ overheads (Fig. 3, Table I) emerge from the cost model.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.criu.checkpoint import CheckpointEngine
@@ -44,12 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.container.runtime import Container
 
 __all__ = ["PrimaryAgent"]
-
-# REGRESSION GENERATOR for NiliconConfig.unsafe_unlogged_draw: unseeded
-# (OS entropy) and invisible to both the RngRegistry and the NDLog, so a
-# record-mode run and its replay draw different values — exactly the bug
-# class the ndflow analyzer exists to catch.
-_UNLOGGED_RNG = random.Random()  # nd: unsafe -- unlogged-draw knob generator
 
 
 class PrimaryAgent:
@@ -82,10 +75,8 @@ class PrimaryAgent:
             collector = StateCollector(self.kernel, config.criu)
             self.state_cache = InfrequentStateCache(self.kernel, collector, container)
         #: Per-page transfer-integrity CRCs, cached across epochs (host-side
-        #: only; see docs/perf.md for the unoptimized regression mode).
-        self.digest_cache = PageDigestCache(
-            unoptimized=config.perf_unoptimized_digest
-        )
+        #: only; see docs/perf.md).
+        self.digest_cache = PageDigestCache()
 
         #: Continues an adopted container's numbering (0 for a fresh pair).
         self.epoch = initial_epoch
@@ -191,14 +182,6 @@ class PrimaryAgent:
     def _checkpoint_cycle(self, incremental: bool) -> Generator[Any, Any, None]:
         costs = self.kernel.costs
         epoch = self.epoch
-        if self.config.unsafe_unlogged_draw:
-            # Unlogged entropy stretching the epoch by up to 20 ms —
-            # comparable to the epoch length itself, so record and replay
-            # runs (each drawing fresh OS entropy) almost surely order
-            # events differently: the oracle must report a divergence.
-            yield self.engine.timeout(
-                1 + int(_UNLOGGED_RNG.random() * 20_000)  # nd: unsafe -- knob
-            )
         stop_start = self.engine.now
 
         freeze_us = yield from self.container.freeze(poll=self.config.criu.freeze_poll)

@@ -18,7 +18,9 @@ The same never-recompute-what-didn't-change principle drives
 state transfer so the backup can verify transfer integrity, and — like the
 infrequent-state cache — only re-derives what the epoch actually touched.
 Soft-dirty tracking already tells us which pages changed; a clean page's
-digest from the generation that last shipped it is still valid.  Digesting
+digest from the generation that last shipped it is still valid (the
+re-hash-everything reference it is benchmarked against lives in
+:mod:`repro.analysis.perfbench`).  Digesting
 is *host-side analysis work* (like the auditor): it charges zero simulated
 time and emits no trace events, so golden trace digests are unaffected.
 """
@@ -115,17 +117,11 @@ class PageDigestCache:
     pages are hashed; a clean page was byte-identical to the generation
     that last shipped it, and its cached CRC is still the truth.
 
-    ``unoptimized=True`` (the ``perf_unoptimized_digest`` regression knob)
-    disables the cache and re-hashes the container's entire resident set
-    every epoch — the re-hash-everything hot loop that ``repro perf``
-    must flag (PERF002) and the profiler must confirm hot.
-
     Host-side only: no simulated time is charged and no trace events are
     emitted, so installing the digest path changes no golden digest.
     """
 
-    def __init__(self, unoptimized: bool = False) -> None:
-        self.unoptimized = unoptimized
+    def __init__(self) -> None:
         #: (pid, page index) -> CRC32 of the page token.
         self._crc: dict[tuple[int, int], int] = {}
         #: Checkpoint generations digested so far.
@@ -140,27 +136,14 @@ class PageDigestCache:
     ) -> dict[str, int]:  # hot: per-page -- runs over the dirty set every epoch
         """Digest one epoch's checkpoint; returns ``"pid:idx" -> crc``.
 
-        *processes* is the container's live process list; the optimized
-        path only uses it to count the clean pages it did NOT re-hash,
-        the unoptimized path walks it to re-hash everything resident.
+        *processes* is the container's live process list, used only to
+        count the clean pages that were NOT re-hashed.
         """
         self.generation += 1
         crc_cache = self._crc
         resident = 0
-        if self.unoptimized:
-            # Re-hash-everything mode: every resident page of every
-            # process, clean or not, every epoch.
-            for process in processes:
-                pid = process.pid
-                pages = process.mm.pages
-                resident += len(pages)
-                for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
-                    crc_cache[(pid, idx)] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- the 'unoptimized' regression knob IS the re-hash-everything baseline the profiler must still observe
-                    self.pages_digested += 1
-                    self.bytes_hashed += PAGE_SIZE
-        else:
-            for process in processes:
-                resident += len(process.mm.pages)
+        for process in processes:
+            resident += len(process.mm.pages)
         digests: dict[str, int] = {}
         in_image = 0
         for pimage in image.processes:
@@ -169,14 +152,12 @@ class PageDigestCache:
             in_image += len(pages)
             for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
                 key = (pid, idx)
-                if not self.unoptimized:
-                    crc_cache[key] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- dirty pages only; clean pages reuse the cached generation
-                    self.pages_digested += 1
-                    self.bytes_hashed += PAGE_SIZE
+                crc_cache[key] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- dirty pages only; clean pages reuse the cached generation
+                self.pages_digested += 1
+                self.bytes_hashed += PAGE_SIZE
                 digests[f"{pid}:{idx}"] = crc_cache[key]
-        if not self.unoptimized:
-            # Clean resident pages whose cached digest was reused unhashed.
-            self.cache_hits += max(0, resident - in_image)
+        # Clean resident pages whose cached digest was reused unhashed.
+        self.cache_hits += max(0, resident - in_image)
         return digests
 
 

@@ -43,7 +43,7 @@ def test_ftcov_steps_mirror_the_make_target():
         ftcov_smoke
     assert ("ftcov", "record", "--json-out", "coverage-matrix.json") in \
         ftcov_smoke
-    assert ("ftcov", "record", "--knob", "drop-scenario") in ftcov_smoke
+    assert len(ftcov_smoke) == 3
 
 
 def test_every_static_pass_has_a_baseline_entry():
@@ -54,10 +54,7 @@ def test_every_static_pass_has_a_baseline_entry():
 
 def test_merged_findings_tag_the_ftcov_knob_as_baselined():
     merged = collect_findings()
-    ftcov = [f for f in merged if f["analyzer"] == "ftcov"]
-    assert [f["rule"] for f in ftcov] == ["FTC002"]
-    assert ftcov[0]["baselined"] is True
-    assert ftcov[0]["path"] == "src/repro/faultinject/scenarios.py"
+    assert [f for f in merged if f["analyzer"] in ("ndflow", "ftcov")] == []
 
 
 def _is_static(argv):
@@ -83,7 +80,7 @@ def test_static_phase_parses_each_source_file_at_most_once(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(list(argv), tree=tree) == 0, argv
     merged = collect_findings(tree)
-    assert len(merged) == 4
+    assert len(merged) == 1
     # Only parses of source files count here: the steps may parse other
     # text (the wire codec does not; it decodes frames without ast).
     source_parses = {f: n for f, n in parses.items() if f in tree}

@@ -18,7 +18,7 @@ from repro.analysis.ckptdiff import (
 )
 from repro.analysis.coverage import analyze_coverage, build_inventory
 from repro.analysis.framework import SourceTree
-from repro.criu.config import CriuConfig
+from tests.mutants import apply_mutant
 
 # --------------------------------------------------------------------------- #
 # Comparator unit tests (synthetic inventory + synthetic objects)             #
@@ -181,21 +181,15 @@ def test_oracle_workload_constant_covers_each_family():
     }
 
 
-def _drop_cpuacct_config():
-    return CriuConfig.nilicon().with_(
-        unsafe_drop_dump=("cgroup.cpuacct_usage_us",)
-    )
-
-
-def test_acceptance_dropped_dump_site_is_confirmed_gap(real_inventory):
+def test_acceptance_dropped_dump_site_is_confirmed_gap(real_inventory, monkeypatch):
     """ISSUE acceptance, dynamic half: dropping one field's dump output
     produces a live state diff, and — because the static pass (see
     test_coverage.test_acceptance_deleted_dump_site_is_ckpt101) reports the
     same (class, field) as uncovered — it classifies as a confirmed CKPT101
     with zero analyzer bugs."""
+    apply_mutant(monkeypatch, "drop-dump")
     result = run_oracle(
         "ssdb",
-        config=_drop_cpuacct_config(),
         static_uncovered={("Cgroup", "cpuacct_usage_us")},
         inventory=real_inventory,
     )
@@ -208,10 +202,10 @@ def test_acceptance_dropped_dump_site_is_confirmed_gap(real_inventory):
     assert gap.restored == "0" and gap.primary != "0"
 
 
-def test_dropped_dump_site_without_static_verdict_is_analyzer_bug(real_inventory):
+def test_dropped_dump_site_without_static_verdict_is_analyzer_bug(real_inventory, monkeypatch):
+    apply_mutant(monkeypatch, "drop-dump")
     result = run_oracle(
         "net-echo",
-        config=_drop_cpuacct_config(),
         static_uncovered=set(),
         inventory=real_inventory,
     )
@@ -222,18 +216,18 @@ def test_dropped_dump_site_without_static_verdict_is_analyzer_bug(real_inventory
     }
 
 
-def test_static_and_dynamic_verdicts_agree_end_to_end(real_inventory):
+def test_static_and_dynamic_verdicts_agree_end_to_end(real_inventory, monkeypatch):
     """Tie the two halves together with the analyzer's own verdicts: the
     static pass on the override-broken tree reports Cgroup.cpuacct_usage_us
-    uncovered, and feeding *that* set to the oracle (with the matching
-    drop-dump knob) yields a confirmed gap."""
+    uncovered, and feeding *that* set to the oracle (under the matching
+    drop-dump mutant) yields a confirmed gap."""
     from tests.analysis.test_coverage import acceptance_overrides
 
     uncovered = analyze_coverage(overrides=acceptance_overrides()).uncovered()
     assert ("Cgroup", "cpuacct_usage_us") in uncovered
+    apply_mutant(monkeypatch, "drop-dump")
     result = run_oracle(
         "disk-rw",
-        config=_drop_cpuacct_config(),
         static_uncovered=uncovered,
         inventory=real_inventory,
     )

@@ -4,8 +4,9 @@ Synthetic scope-file overrides exercise the inventory, the selfcheck and
 each FTC rule in isolation (``zz_``-prefixed names keep clear of real
 code); the real-tree tests pin the ISSUE acceptance criteria: the
 selfcheck accounts for every failure-handling site in the package, every
-``fault_point()`` call site is registered, and the only FTC finding is
-the frozen ``UNSAFE_DROP_SCENARIO`` knob entry.
+``fault_point()`` call site is registered, and the real tree has no FTC
+finding at all — while the ``drop-scenario`` mutant's source overlay
+(``tests/mutants.py``) must raise FTC002.
 """
 
 import textwrap
@@ -17,6 +18,7 @@ from repro.analysis.ftcov import (
     build_ft_inventory,
     ftcov_selfcheck,
 )
+from tests.mutants import MUTANTS
 
 _SCOPE = "replication/zz_scope.py"
 
@@ -395,10 +397,17 @@ def test_real_tree_every_registered_point_is_armed():
 
 
 def test_real_tree_findings_are_exactly_the_knob():
-    report = analyze_ftcov()
+    assert analyze_ftcov().findings == []
+
+
+def test_drop_scenario_overlay_is_ftc002():
+    # The static witness of the drop-scenario mutant: an UNSAFE_* catalog
+    # constant overlaid on the real scenarios module.
+    report = analyze_ftcov(overrides=MUTANTS["drop-scenario"].overlay())
     assert [(f.rule_id, f.path) for f in report.findings] == [
         ("FTC002", "src/repro/faultinject/scenarios.py"),
     ]
+    assert "UNSAFE_DROP_SCENARIO" in report.findings[0].message
 
 
 def test_real_tree_findings_match_checked_in_baseline():

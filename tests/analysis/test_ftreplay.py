@@ -2,8 +2,9 @@
 
 The crossref gap logic is pure (counters + inventory in, gaps out), so
 every gap kind is pinned on synthetic inputs; the runner tests use small
-catalog subsets to keep the determinism check fast, plus the real
-drop-scenario knob run as the dynamic half of the two-witness story.
+catalog subsets to keep the determinism check fast, plus the pair
+catalog under the ``drop-scenario`` mutant (``tests/mutants.py``) as the
+dynamic half of the two-witness story.
 """
 
 import pytest
@@ -14,6 +15,8 @@ from repro.analysis.ftreplay import (
     crossref_coverage,
     run_ftcov_record,
 )
+from repro.faultinject.points import FAULT_POINTS, FLEET_FAULT_POINTS
+from tests.mutants import DROPPED_SCENARIO, apply_mutant
 
 
 def _site(kind, name, **kw):
@@ -94,9 +97,16 @@ def test_crossref_flags_observed_undeclared_edge():
     assert any(g.startswith("undeclared-edge:c->d") for g in gaps)
 
 
-def test_unknown_knob_is_rejected():
+def test_unknown_knob_is_rejected(monkeypatch):
+    # An unknown mutant name fails before anything is patched: the pair
+    # catalog the recorder walks stays whole.
+    from repro.faultinject import scenarios
+
+    names = scenarios.scenario_names
     with pytest.raises(KeyError):
-        run_ftcov_record(knob="zz-bogus")
+        apply_mutant(monkeypatch, "zz-bogus")
+    assert scenarios.scenario_names is names
+    assert DROPPED_SCENARIO in scenarios.scenario_names()
 
 
 def test_record_subset_is_deterministic():
@@ -112,12 +122,21 @@ def test_record_subset_is_deterministic():
     assert first["digest"] == second["digest"]
 
 
-def test_drop_scenario_knob_detects_the_seeded_gap():
-    report = run_ftcov_record(knob="drop-scenario")
-    assert report["mode"] == "knob"
+def test_drop_scenario_knob_detects_the_seeded_gap(monkeypatch):
+    # The pair catalog only: the seeded gap lives in the pair registry.
+    apply_mutant(monkeypatch, "drop-scenario")
+    report = run_ftcov_record(fleet_scenarios=[], traffic_events=[])
     assert report["runs_ok"]
-    assert report["seeded_gap_detected"]
-    assert report["unexpected_gaps"] == []
-    assert report["ok"]
+    # Among pair points, the crossref reports exactly the dropped
+    # scenario's point as never fired, and no other gap.
+    pair_points = set(FAULT_POINTS) - set(FLEET_FAULT_POINTS)
+    pair_gaps = sorted(
+        g for g in report["gaps"]
+        if g.split(":", 1)[0] in ("point-unreached", "point-unfired")
+        and g.split(":", 2)[1].split(" ")[0] in pair_points
+    )
+    expected = f"point-unfired:{DROPPED_SCENARIO.split('@', 1)[1]}"
+    assert [g for g in pair_gaps if g.startswith(expected)]
+    assert [g for g in pair_gaps if not g.startswith(expected)] == []
     # The catalog really was mutilated: the dropped scenario is absent.
-    assert all(r["name"] != "crash@backup.mid_commit" for r in report["runs"])
+    assert all(r["name"] != DROPPED_SCENARIO for r in report["runs"])

@@ -4,8 +4,9 @@ Synthetic scope-file overrides exercise the inventory, the selfcheck and
 each NDF rule in isolation (``zz_``-prefixed names keep clear of real
 code); the real-tree tests pin the ISSUE acceptance criteria: the
 selfcheck accounts for every source in the package, the drift guard
-covers every module-level id counter, and the only NDF findings are the
-two frozen ``unsafe_unlogged_draw`` knob entries.
+covers every module-level id counter, and the real tree has no NDF
+finding at all — while the ``unlogged-draw`` mutant's source overlay
+(``tests/mutants.py``) must raise exactly NDF001 and NDF003.
 """
 
 import textwrap
@@ -17,6 +18,7 @@ from repro.analysis.ndflow import (
     build_nd_inventory,
     ndflow_selfcheck,
 )
+from tests.mutants import MUTANTS
 
 _SCOPE = "replication/zz_scope.py"
 
@@ -359,7 +361,13 @@ def test_real_tree_every_counter_is_registered():
 
 
 def test_real_tree_findings_are_exactly_the_knob():
-    report = analyze_ndflow()
+    assert analyze_ndflow().findings == []
+
+
+def test_unlogged_draw_overlay_is_ndf001_and_ndf003():
+    # The static witness of the unlogged-draw mutant: its source on the
+    # analyzed tree, nothing on disk changed.
+    report = analyze_ndflow(overrides=MUTANTS["unlogged-draw"].overlay())
     assert [(f.rule_id, f.path) for f in report.findings] == [
         ("NDF001", "src/repro/replication/primary.py"),
         ("NDF003", "src/repro/replication/primary.py"),

@@ -1,10 +1,10 @@
 """Record→replay oracle tests (ndflow Layer 3).
 
-The ISSUE acceptance criteria live here: with the knob off, every
-catalog workload replays digest-identical from seed + NDLog alone; with
-``unsafe_unlogged_draw`` armed, the oracle detects the divergence — the
-dynamic half of the two-witness pattern (the static half is the frozen
-NDF001/NDF003 baseline, pinned in test_ndflow.py).
+The acceptance criteria live here: every catalog workload replays
+digest-identical from seed + NDLog alone; under the ``unlogged-draw``
+mutant (``tests/mutants.py``) the oracle detects the divergence — the
+dynamic half of the two-witness pattern (the static half is NDF001/NDF003
+on the mutant's source overlay, pinned in test_ndflow.py).
 """
 
 import json
@@ -22,8 +22,8 @@ from repro.analysis.ndreplay import (
     run_record,
     run_roundtrip,
 )
-from repro.replication.config import NiliconConfig
 from repro.workloads.catalog import WORKLOADS
+from tests.mutants import apply_mutant
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1] / "golden" / "ndlog_digests.json")
@@ -68,13 +68,12 @@ def test_oracle_smoke_matrix_is_clean():
     assert all(cell["identical"] for cell in report["cells"])
 
 
-def test_knob_divergence_is_detected():
-    # The dynamic witness: with the unlogged draw armed the sweep must
-    # diverge somewhere (any-cell — the draw is OS entropy).
-    report = run_oracle(("net", "disk-rw"), (1, 2), run_ms=600,
-                        knob="unsafe-unlogged-draw")
-    assert report["knob"] == "unsafe-unlogged-draw"
-    assert report["ok"], "oracle failed to catch the unlogged-draw knob"
+def test_knob_divergence_is_detected(monkeypatch):
+    # The dynamic witness: with the unlogged draw in place the sweep must
+    # diverge somewhere.
+    apply_mutant(monkeypatch, "unlogged-draw")
+    report = run_oracle(("net", "disk-rw"), (1, 2), run_ms=600)
+    assert not report["ok"], "oracle failed to catch the unlogged-draw mutant"
     diverged = [c for c in report["cells"] if not c["identical"]]
     assert diverged
     for cell in diverged:
@@ -88,26 +87,32 @@ def test_knob_divergence_is_detected():
         )
 
 
-def test_knob_divergence_names_the_stream_when_log_exhausts():
+def test_knob_divergence_names_the_stream_when_log_exhausts(monkeypatch):
     # Run single cells until one produces a named divergence (the other
     # failure mode is a digest mismatch); bounded to keep the test fast.
-    config = NiliconConfig.nilicon().with_(unsafe_unlogged_draw=True)
+    apply_mutant(monkeypatch, "unlogged-draw")
     for _ in range(5):
-        cell = run_roundtrip("disk-rw", seed=1, run_ms=600, config=config)
+        cell = run_roundtrip("disk-rw", seed=1, run_ms=600)
         if cell["divergence"] is not None:
-            # The OS-entropy jitter means the first divergent draw can land
+            # The unlogged jitter means the first divergent draw can land
             # on the tiebreak stream or exhaust a workload stream; either
             # way the message must name the stream and draw index.
             assert "#" in cell["divergence"], cell["divergence"]
             return
         if not cell["identical"]:
             return  # diverged via digests: still caught, accept
-    pytest.fail("knob never diverged in 5 attempts")
+    pytest.fail("mutant never diverged in 5 attempts")
 
 
-def test_unknown_knob_is_rejected():
+def test_unknown_knob_is_rejected(monkeypatch):
+    # An unknown mutant name fails before anything is patched: the
+    # primary's checkpoint cycle stays the production one.
+    from repro.replication.primary import PrimaryAgent
+
+    cycle = PrimaryAgent._checkpoint_cycle
     with pytest.raises(KeyError):
-        run_oracle(("net",), (1,), knob="zz-no-such-knob")
+        apply_mutant(monkeypatch, "zz-no-such-knob")
+    assert PrimaryAgent._checkpoint_cycle is cycle
 
 
 def test_record_mode_crossrefs_every_stream():

@@ -1,12 +1,13 @@
 """Tests for perf Layer 3: deterministic profiling, the L2<->L3
 cross-reference, and the benchmark regression gate.
 
-The load-bearing property is ISSUE acceptance: two same-seed profiled
-runs must produce *identical* counter digests.  The cross-reference tests
-pin the knob regression end to end — ``perf_unoptimized_digest`` re-hashes
-every resident page, so on a memory-heavy workload the statecache PERF002
-finding is confirmed-hot; a short run of the page-light ``net`` workload
-downgrades pool findings whose counters stayed cold.
+The load-bearing property is acceptance: two same-seed profiled runs
+must produce *identical* counter digests.  The cross-reference tests pin
+the digest regression end to end — the ``unoptimized-digest`` mutant
+(``tests/mutants.py``) installs the bench's re-hash-everything reference,
+so on a memory-heavy workload the statecache PERF002 finding is
+confirmed-hot; a short run of the page-light ``net`` workload downgrades
+pool findings whose counters stayed cold.
 """
 
 from repro.analysis.linter import Finding
@@ -18,7 +19,7 @@ from repro.analysis.perfbench import (
     crossref,
     run_profiled_deployment,
 )
-from repro.replication.config import NiliconConfig
+from tests.mutants import mutant
 
 
 def test_profiled_run_is_deterministic():
@@ -55,8 +56,8 @@ def test_profiled_counters_cover_every_subsystem():
 def test_unoptimized_digest_knob_is_confirmed_hot():
     # The statecache PERF002 debt is paid (the real tree lints clean), so
     # the L2<->L3 contract is pinned with a synthetic finding at the same
-    # site: under the knob, the profiler's digest counters must confirm a
-    # statecache finding as hot.
+    # site: under the re-hash-everything reference, the profiler's digest
+    # counters must confirm a statecache finding as hot.
     finding = Finding(
         rule_id="PERF002",
         path="src/repro/replication/statecache.py",
@@ -65,9 +66,8 @@ def test_unoptimized_digest_knob_is_confirmed_hot():
         message="synthetic",
         severity="warning",
     )
-    config = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    run = run_profiled_deployment("lighttpd", run_ms=400, seed=1,
-                                  config=config)
+    with mutant("unoptimized-digest"):
+        run = run_profiled_deployment("lighttpd", run_ms=400, seed=1)
     entries = crossref([finding], run.counters)
     assert all(e["status"] == "confirmed-hot" for e in entries)
     assert all(e["observed"] >= HOT_THRESHOLD for e in entries)
@@ -75,9 +75,8 @@ def test_unoptimized_digest_knob_is_confirmed_hot():
 
 
 def test_knob_rehashes_more_pages_than_default():
-    config = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    unopt = run_profiled_deployment("lighttpd", run_ms=400, seed=1,
-                                    config=config)
+    with mutant("unoptimized-digest"):
+        unopt = run_profiled_deployment("lighttpd", run_ms=400, seed=1)
     opt = run_profiled_deployment("lighttpd", run_ms=400, seed=1)
     assert (
         unopt.counters["digest.pages_digested"]

@@ -19,6 +19,7 @@ from repro.kernel.fs import OpenFile
 from repro.net import World
 
 from tests.criu.test_checkpoint_restore import make_container, run_gen
+from tests.mutants import apply_mutant
 
 
 @pytest.fixture
@@ -26,13 +27,13 @@ def world():
     return World(seed=23)
 
 
-def full_roundtrip(world, container, config=None):
+def full_roundtrip(world, container):
     """Freeze -> full checkpoint -> restore onto the backup kernel.
 
     Returns ``(image, restored)``; the original stays frozen so its state
     cannot drift between the dump and the assertions.
     """
-    cfg = config if config is not None else CriuConfig.nilicon()
+    cfg = CriuConfig.nilicon()
     engine = CheckpointEngine(world.primary.kernel, cfg)
 
     def dump():
@@ -134,13 +135,11 @@ def test_plain_file_fd_roundtrip(world):
     assert rproc._next_fd >= entry.fd + 1
 
 
-def test_unsafe_drop_dump_knob_removes_the_key(world):
+def test_unsafe_drop_dump_knob_removes_the_key(world, monkeypatch):
     _rt, container = make_container(world)
     container.cgroup.charge_cpu(1_000)
-    cfg = CriuConfig.nilicon().with_(
-        unsafe_drop_dump=("cgroup.cpuacct_usage_us",)
-    )
-    image, restored = full_roundtrip(world, container, config=cfg)
+    apply_mutant(monkeypatch, "drop-dump")
+    image, restored = full_roundtrip(world, container)
     assert "cpuacct_usage_us" not in image.cgroup
     assert restored.cgroup.cpuacct_usage_us == 0  # the divergence the oracle sees
 

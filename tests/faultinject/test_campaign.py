@@ -1,8 +1,9 @@
-"""Campaign cells: green post-fix, red when an ``unsafe_*`` knob reverts a fix.
+"""Campaign cells: green post-fix, red when a mutant reverts a fix.
 
-The regression half is the PR's proof obligation: re-enabling either
-pre-fix behaviour (ack-before-commit, pop-oldest barrier release) must make
-its sensitive campaign cell fail its oracles again.
+The regression half is the proof obligation: re-creating either pre-fix
+behaviour (the ``ack-before-commit`` and ``release-oldest`` mutants of
+``tests/mutants.py``) must make its sensitive campaign cell fail its
+oracles again.
 """
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.experiments.faultcampaign import run_phase_campaign, run_phase_injection
 from repro.faultinject import SCENARIOS
 from repro.faultinject.points import FAULT_POINTS, FLEET_FAULT_POINTS
-from repro.replication.config import NiliconConfig
+from tests.mutants import apply_mutant
 
 WORKLOAD = "net-echo"
 SEED = 101
@@ -48,17 +49,17 @@ def test_fixed_protocol_survives_cell(scenario):
     "crash@backup.post_ack_pre_commit",
     "crash@backup.mid_commit",
 ])
-def test_ack_before_commit_race_reproduced_by_legacy_knob(scenario):
-    config = NiliconConfig.nilicon().with_(unsafe_ack_before_commit=True)
-    cell = run_phase_injection(WORKLOAD, scenario, SEED, config=config)
+def test_ack_before_commit_race_reproduced_by_legacy_knob(scenario, monkeypatch):
+    apply_mutant(monkeypatch, "ack-before-commit")
+    cell = run_phase_injection(WORKLOAD, scenario, SEED)
     assert not cell.ok
     assert any("lost committed output" in v for v in cell.violations), cell.violations
 
 
 @pytest.mark.parametrize("scenario", ["link.dup_ack", "link.drop_ack"])
-def test_release_oldest_race_reproduced_by_legacy_knob(scenario):
-    config = NiliconConfig.nilicon().with_(unsafe_release_oldest_barrier=True)
-    cell = run_phase_injection(WORKLOAD, scenario, SEED, config=config)
+def test_release_oldest_race_reproduced_by_legacy_knob(scenario, monkeypatch):
+    apply_mutant(monkeypatch, "release-oldest")
+    cell = run_phase_injection(WORKLOAD, scenario, SEED)
     assert not cell.ok, cell.plan_log
 
 

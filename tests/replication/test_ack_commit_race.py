@@ -4,13 +4,13 @@ A failover that overlaps a commit must restore from the last *fully*
 committed epoch: the commit/dispatch loops are interrupted, the page
 store's open checkpoint is rolled back, and the ack — the primary's
 licence to release that epoch's output — is only ever sent post-commit.
-The ``unsafe_ack_before_commit`` knob re-creates the legacy ordering and
-must reproduce the lost-committed-output violation.
+The ``ack-before-commit`` mutant (``tests/mutants.py``) re-creates the
+legacy ordering and must reproduce the lost-committed-output violation.
 """
 
 from repro.faultinject import FaultPlan, PointFault, crash_primary
-from repro.replication import NiliconConfig
 from repro.sim.units import ms
+from tests.mutants import apply_mutant
 from tests.replication.conftest import make_deployment
 
 #: Stall injected into the backup's commit path, long enough for failure
@@ -22,8 +22,8 @@ CRASH_AFTER_US = 200
 TARGET = 5
 
 
-def run_mid_commit_crash(world, config=None):
-    deployment = make_deployment(world, config=config)
+def run_mid_commit_crash(world):
+    deployment = make_deployment(world)
     deployment.start()
     plan = FaultPlan(points=[
         PointFault("backup.mid_commit", epoch=TARGET, stall_us=STALL_US,
@@ -51,9 +51,9 @@ def test_recovery_quiesces_open_commit(world):
     assert deployment.audit_output_commit() == []
 
 
-def test_legacy_ack_before_commit_loses_released_output(world):
-    config = NiliconConfig.nilicon().with_(unsafe_ack_before_commit=True)
-    deployment = run_mid_commit_crash(world, config=config)
+def test_legacy_ack_before_commit_loses_released_output(world, monkeypatch):
+    apply_mutant(monkeypatch, "ack-before-commit")
+    deployment = run_mid_commit_crash(world)
     backup = deployment.backup_agent
     assert deployment.failed_over
     # The ack for epoch TARGET escaped before the commit stalled, so the

@@ -1,5 +1,8 @@
 """Tests for configuration objects and the Table I optimization walk."""
 
+from dataclasses import fields
+from pathlib import Path
+
 from repro.criu.config import CriuConfig
 from repro.replication.config import TABLE1_LEVELS, NiliconConfig
 
@@ -69,3 +72,38 @@ class TestTable1Walk:
             NiliconConfig.table1_level(7)
         with pytest.raises(ValueError):
             NiliconConfig.table1_level(-1)
+
+
+class TestNoBugModes:
+    """The config carries deployment and paper knobs only; historical bugs
+    are re-created by the test-side mutants in ``tests/mutants.py``."""
+
+    def test_nilicon_config_fields(self):
+        assert {f.name for f in fields(NiliconConfig)} == {
+            # deployment
+            "epoch_execute_us", "heartbeat_interval_us",
+            "heartbeat_miss_threshold", "detector_enabled", "audit", "mode",
+            "hycor_log_flush_us",
+            # paper (Table I, ablations)
+            "criu", "input_block", "staging_buffer", "page_store",
+            "full_checkpoint_every", "compress_transfer", "compression_ratio",
+        }
+
+    def test_criu_config_fields(self):
+        assert {f.name for f in fields(CriuConfig)} == {
+            "vma_source", "parasite_transport", "freeze_poll",
+            "fs_cache_mode", "cache_infrequent_state", "use_proxy_processes",
+            "repair_rto_patch",
+        }
+
+    def test_primary_agent_does_not_import_random(self):
+        import ast
+
+        import repro.replication.primary as primary
+
+        tree = ast.parse(Path(primary.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "random" not in imported

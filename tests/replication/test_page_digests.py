@@ -2,18 +2,19 @@
 
 Unit tests drive the cache with fake images/processes to pin the contract
 — optimized mode hashes exactly the dirty (in-image) pages and counts the
-clean remainder as cache hits; the ``perf_unoptimized_digest`` regression
-knob re-hashes the whole resident set — and the end-to-end test asserts
-the backup verifies every transfer of a live deployment with zero
-mismatches.
+clean remainder as cache hits; the bench's re-hash-everything reference
+re-hashes the whole resident set — and the end-to-end tests assert the
+backup verifies every transfer of a live deployment with zero
+mismatches, with the cache and under the ``unoptimized-digest`` mutant.
 """
 
 import zlib
 from types import SimpleNamespace
 
-from repro.replication.config import NiliconConfig
+from repro.analysis.perfbench import RehashEverythingDigestCache
 from repro.replication.statecache import PageDigestCache, verify_page_digests
 from repro.sim.units import ms
+from tests.mutants import apply_mutant
 
 from .conftest import make_deployment
 
@@ -64,7 +65,7 @@ def test_optimized_mode_reuses_cached_digest_for_clean_pages():
 
 
 def test_unoptimized_knob_rehashes_entire_resident_set():
-    cache = PageDigestCache(unoptimized=True)
+    cache = RehashEverythingDigestCache()
     resident = {7: {0: b"aaaa", 1: b"bbbb", 2: b"cccc"}}
     dirty = {7: {1: b"bbbb"}}
     digests = cache.digest_image(fake_image(dirty), fake_processes(resident))
@@ -114,9 +115,9 @@ def test_backup_verifies_live_deployment_transfers(world):
     assert deployment.primary_agent.digest_cache.pages_digested > 0
 
 
-def test_knob_deployment_still_verifies_clean(world):
-    config = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    deployment = make_deployment(world, config=config)
+def test_knob_deployment_still_verifies_clean(world, monkeypatch):
+    apply_mutant(monkeypatch, "unoptimized-digest")
+    deployment = make_deployment(world)
     _populate(deployment)
     deployment.start()
     world.run(until=ms(500))
@@ -124,7 +125,7 @@ def test_knob_deployment_still_verifies_clean(world):
     backup = deployment.backup_agent
     assert backup.digests_verified > 0
     assert backup.digest_mismatches == 0
-    # The knob did strictly more hashing than the dirty sets required.
+    # The reference did strictly more hashing than the dirty sets required.
     cache = deployment.primary_agent.digest_cache
-    assert cache.unoptimized is True
+    assert isinstance(cache, RehashEverythingDigestCache)
     assert cache.cache_hits == 0

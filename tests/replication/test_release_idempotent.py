@@ -4,13 +4,12 @@ The pre-fix release popped the *oldest* barrier per ack, so a duplicated
 ack drained a later epoch's output early and a dropped ack left
 acknowledged output stuck forever.  These tests drive the NetworkBuffer
 directly through ack patterns (duplicate, reorder, drop) and assert the
-fixed semantics — then flip ``unsafe_release_oldest_barrier`` and assert
-the audit catches both legacy symptoms.
+fixed semantics — then apply the ``release-oldest`` mutant
+(``tests/mutants.py``) and assert the audit catches both legacy symptoms.
 """
 
-from repro.replication import NiliconConfig
 from repro.replication.netbuffer import NetworkBuffer
-from tests.replication.conftest import make_deployment
+from tests.mutants import apply_mutant
 
 from repro.sim.units import ms
 
@@ -68,9 +67,9 @@ def test_dropped_ack_healed_by_next_release(deployment):
     assert nb.release_lag() == 0
 
 
-def test_legacy_pop_oldest_duplicate_ack_drains_wrong_epoch(world):
-    config = NiliconConfig.nilicon().with_(unsafe_release_oldest_barrier=True)
-    nb = buffer_of(make_deployment(world, config=config))
+def test_legacy_pop_oldest_duplicate_ack_drains_wrong_epoch(deployment, monkeypatch):
+    apply_mutant(monkeypatch, "release-oldest")
+    nb = buffer_of(deployment)
     nb.insert_epoch_barrier(0)
     nb.insert_epoch_barrier(1)
     nb.acked_epoch = 0
@@ -81,9 +80,9 @@ def test_legacy_pop_oldest_duplicate_ack_drains_wrong_epoch(world):
     assert violations and "epoch 1" in violations[0]
 
 
-def test_legacy_pop_oldest_dropped_ack_strands_acked_output(world):
-    config = NiliconConfig.nilicon().with_(unsafe_release_oldest_barrier=True)
-    nb = buffer_of(make_deployment(world, config=config))
+def test_legacy_pop_oldest_dropped_ack_strands_acked_output(deployment, monkeypatch):
+    apply_mutant(monkeypatch, "release-oldest")
+    nb = buffer_of(deployment)
     nb.insert_epoch_barrier(0)
     nb.insert_epoch_barrier(1)
     # Epoch 0's ack was dropped; only epoch 1's arrives — one pop drains
