@@ -15,7 +15,7 @@ Two jobs, deliberately separated:
   events/sec and pages-digested/sec on catalog workloads, times the fleet
   campaign, and records the before/after of each landed optimization
   (engine run() fast path vs the legacy peek/step loop, the page-digest
-  generation cache vs the :class:`RehashEverythingDigestCache` reference,
+  cache vs the :class:`RehashEverythingDigestCache` reference,
   the host-pool occupancy index vs the ``_load_scan`` reference,
   the wire decoder vs whole-frame ``ast.literal_eval``).
   The result is ``BENCH_engine.json``; :func:`check_bench` is the CI gate
@@ -322,39 +322,38 @@ def _bench_engine_loop(n_events: int = 240_000) -> dict[str, Any]:
 
 
 class RehashEverythingDigestCache(PageDigestCache):
-    """The reference the page-digest generation cache is benchmarked
-    against: every epoch it re-hashes the container's entire resident set,
-    clean or not.  Same digests and counters as the cache, except that
-    ``cache_hits`` stays 0."""
+    """The reference the page-digest cache is benchmarked against: every
+    epoch it re-hashes the container's entire resident set, clean or not.
+    Same digests and counters as the cache, except that ``cache_hits``
+    stays 0."""
 
     #: Deliberately the re-hash-everything loop PERF002 exists to flag.
     __perf_exempt__ = True
 
     def digest_image(
         self, image: "CheckpointImage", processes: Iterable[Any] = ()
-    ) -> dict[str, int]:
+    ) -> dict[int, dict[int, int]]:
         self.generation += 1
-        crc_cache = self._crc
+        resident: dict[int, dict[int, int]] = {}
         for process in processes:
-            pid = process.pid
             pages = process.mm.pages
-            for idx in sorted(pages):
-                crc_cache[(pid, idx)] = zlib.crc32(pages[idx])
-                self.pages_digested += 1
-                self.bytes_hashed += PAGE_SIZE
+            resident[process.pid] = {idx: zlib.crc32(content) for idx, content in pages.items()}
+            self.pages_digested += len(pages)
+            self.bytes_hashed += len(pages) * PAGE_SIZE
+        # The container is frozen, so each image page's resident CRC is its
+        # digest (munmap drops a page from the dirty set with the page).
         return {
-            f"{pimage.pid}:{idx}": crc_cache[(pimage.pid, idx)]
+            pimage.pid: {idx: resident[pimage.pid][idx] for idx in pimage.pages}
             for pimage in image.processes
-            for idx in sorted(pimage.pages)
         }
 
 
 def _bench_digest_cache(run_ms: int, seed: int) -> dict[str, Any]:
-    """Before/after of the page-digest generation cache: the
+    """Before/after of the page-digest cache: the
     :class:`RehashEverythingDigestCache` reference re-hashes the whole
     resident set every epoch; the cache hashes dirty pages only."""
     # streamcluster has the catalog's largest resident set (55k pages) with
-    # a small per-epoch dirty set — the shape the generation cache exists
+    # a small per-epoch dirty set — the shape the digest cache exists
     # for, and the shape where re-hash-everything hurts most.
     workload = "streamcluster"
     before_dep, _, wall_before = _timed_run(

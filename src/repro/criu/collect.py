@@ -58,10 +58,11 @@ class StateCollector:
             vmas = yield from procfs.netlink_vmas(process)
 
         if incremental and process.mm.tracking_enabled:
-            dirty = yield from procfs.pagemap_dirty(process)
+            # Already in address order: pagemap is scanned low to high.
+            indices = yield from procfs.pagemap_dirty(process)
         else:
-            dirty = set(process.mm.pages)
-        pages = yield from parasite.read_pages(sorted(dirty))
+            indices = sorted(process.mm.pages)
+        pages = yield from parasite.read_pages(indices)
         # Restart tracking for the next epoch.
         yield from procfs.clear_refs(process)
         return vmas, pages

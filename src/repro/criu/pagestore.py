@@ -7,24 +7,19 @@ replaces this with a four-level radix tree "mimicking the implementation of
 the hardware page tables", making per-page processing O(1) and independent
 of history (paper §V-A, the first CRIU optimization).
 
-Both implementations below are *content-equivalent* (property-tested
-against a plain dict oracle); they differ in the simulated processing cost
-they report per stored page, which the backup agent charges as CPU time.
+Both stores are modelled by the simulated cost they report per stored
+page, which the backup agent charges as CPU time, not by their host
+layout: on the host both are dicts, O(1) per page.  They are
+*content-equivalent* (property-tested against a plain dict oracle).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Protocol
+from typing import Dict, Protocol
 
 from repro.kernel.costmodel import CostModel
 
-__all__ = ["LinkedListPageStore", "PageStore", "RadixTreePageStore", "RADIX_BITS"]
-
-#: Radix-tree fanout: 9 bits per level, 4 levels — the x86-64 page-table
-#: shape the paper's optimization mimics.
-RADIX_BITS = 9
-RADIX_FANOUT = 1 << RADIX_BITS
-RADIX_LEVELS = 4
+__all__ = ["LinkedListPageStore", "PageStore", "RadixTreePageStore"]
 
 
 class PageStore(Protocol):
@@ -57,28 +52,30 @@ class PageStore(Protocol):
 
 
 class RadixTreePageStore:
-    """NiLiCon's store: per-pid four-level radix tree, O(1) per page."""
+    """NiLiCon's store: O(1) per page, independent of checkpoint history.
+
+    The paper's four-level radix tree is modelled by its cost
+    (``pagestore_radix_per_page`` per stored page), not by its host
+    layout: each pid's committed pages live in one ``{page_idx: content}``
+    dict, and :meth:`pages_of` returns them in address order, the order a
+    radix-tree walk yields.
+    """
 
     def __init__(self, costs: CostModel) -> None:
         self.costs = costs
-        self._roots: dict[int, list] = {}
+        #: pid -> {page_idx: content} of every stored page.
+        self._pages: dict[int, dict[int, bytes]] = {}
         self.checkpoints_taken = 0
         #: Lifetime pages stored (perf-profiler harvest; always on).
         self.pages_stored = 0
-        #: Allocated interior nodes (diagnostics; shows the tree is real).
-        self.nodes_allocated = 0
-        #: Undo log of the open checkpoint: (pid, page_idx, prior content or
-        #: None) per slot overwritten since begin_checkpoint.
-        self._undo: list[tuple[int, int, bytes | None]] = []
+        #: Undo log of the open checkpoint: (the pid's page dict, page_idx,
+        #: prior content or None) per slot written since begin_checkpoint.
+        self._undo: list[tuple[dict[int, bytes], int, bytes | None]] = []
         self._open = False
 
     @property
     def checkpoint_open(self) -> bool:
         return self._open
-
-    def _new_node(self) -> list:
-        self.nodes_allocated += 1
-        return [None] * RADIX_FANOUT
 
     def begin_checkpoint(self) -> None:
         self.checkpoints_taken += 1
@@ -90,72 +87,38 @@ class RadixTreePageStore:
         self._undo.clear()
 
     def abort_checkpoint(self) -> None:
-        """Roll the tree back to the last committed checkpoint."""
+        """Roll the store back to the last committed checkpoint."""
         if not self._open:
             return
-        for pid, page_idx, prior in reversed(self._undo):
-            i0, i1, i2, i3 = self._indices(page_idx)
-            node = self._roots[pid]
-            for idx in (i0, i1, i2):
-                node = node[idx]
-            node[i3] = prior
+        for pages, page_idx, prior in reversed(self._undo):
+            if prior is None:
+                del pages[page_idx]
+            else:
+                pages[page_idx] = prior
         self._undo.clear()
         self._open = False
         self.checkpoints_taken -= 1
 
-    @staticmethod
-    def _indices(page_idx: int) -> tuple[int, int, int, int]:
-        return (
-            (page_idx >> (3 * RADIX_BITS)) & (RADIX_FANOUT - 1),
-            (page_idx >> (2 * RADIX_BITS)) & (RADIX_FANOUT - 1),
-            (page_idx >> RADIX_BITS) & (RADIX_FANOUT - 1),
-            page_idx & (RADIX_FANOUT - 1),
-        )
-
     def store_page(self, pid: int, page_idx: int, content: bytes) -> int:  # hot: per-page -- every committed page funnels through here
         """Store one page; returns the processing cost in microseconds."""
         self.pages_stored += 1
-        root = self._roots.get(pid)
-        if root is None:
-            root = self._roots[pid] = self._new_node()
-        i0, i1, i2, i3 = self._indices(page_idx)
-        node = root
-        for idx in (i0, i1, i2):
-            child = node[idx]
-            if child is None:
-                child = node[idx] = self._new_node()
-            node = child
+        pages = self._pages.get(pid)
+        if pages is None:
+            pages = self._pages[pid] = {}
         if self._open:
-            self._undo.append((pid, page_idx, node[i3]))
-        node[i3] = content
+            self._undo.append((pages, page_idx, pages.get(page_idx)))
+        pages[page_idx] = content
         return self.costs.pagestore_radix_per_page
 
     def lookup(self, pid: int, page_idx: int) -> bytes | None:
-        node = self._roots.get(pid)
-        if node is None:
-            return None
-        i0, i1, i2, i3 = self._indices(page_idx)
-        for idx in (i0, i1, i2):
-            node = node[idx]
-            if node is None:
-                return None
-        return node[i3]
-
-    def _walk(self, node: list, prefix: int, level: int) -> Iterator[tuple[int, bytes]]:
-        for idx, child in enumerate(node):
-            if child is None:
-                continue
-            key = (prefix << RADIX_BITS) | idx
-            if level == RADIX_LEVELS - 1:
-                yield key, child
-            else:
-                yield from self._walk(child, key, level + 1)
+        pages = self._pages.get(pid)
+        return None if pages is None else pages.get(page_idx)
 
     def pages_of(self, pid: int) -> Dict[int, bytes]:
-        root = self._roots.get(pid)
-        if root is None:
+        pages = self._pages.get(pid)
+        if pages is None:
             return {}
-        return dict(self._walk(root, 0, 0))
+        return dict(sorted(pages.items()))
 
 
 class LinkedListPageStore:
@@ -163,13 +126,18 @@ class LinkedListPageStore:
 
     Every received page triggers a scan through previous directories to
     find and remove an older copy, so per-page cost grows with checkpoint
-    count — the pathology NiLiCon's radix tree removes.
+    count — the pathology NiLiCon's radix tree removes.  The scan is
+    charged (one ``pagestore_list_per_page_per_ckpt`` per directory), but
+    on the host a key -> directory index finds the older copy directly.
     """
 
     def __init__(self, costs: CostModel) -> None:
         self.costs = costs
         #: Oldest-first list of {(pid, page_idx): content} directories.
+        #: Each key lives in at most one directory.
         self._dirs: list[dict[tuple[int, int], bytes]] = []
+        #: (pid, page_idx) -> index of the directory holding it.
+        self._where: dict[tuple[int, int], int] = {}
         self.checkpoints_taken = 0
         #: Lifetime pages stored (perf-profiler harvest; always on).
         self.pages_stored = 0
@@ -196,34 +164,37 @@ class LinkedListPageStore:
         """Drop the open directory and restore the stale copies it evicted."""
         if not self._open:
             return
-        self._dirs.pop()
+        where = self._where
+        for key in self._dirs.pop():
+            del where[key]
         for dir_idx, key, content in reversed(self._undo):
             self._dirs[dir_idx][key] = content
+            where[key] = dir_idx
         self._undo.clear()
         self._open = False
         self.checkpoints_taken -= 1
 
     def store_page(self, pid: int, page_idx: int, content: bytes) -> int:  # hot: per-page -- stock-CRIU path; cost grows with checkpoint count
         self.pages_stored += 1
-        if not self._dirs:
+        dirs = self._dirs
+        if not dirs:
             self.begin_checkpoint()
         key = (pid, page_idx)
-        # Walk all previous directories, dropping stale copies.
-        searched = 0
-        for dir_idx, directory in enumerate(self._dirs[:-1]):
-            searched += 1
-            stale = directory.pop(key, None)
-            if stale is not None and self._open:
-                self._undo.append((dir_idx, key, stale))
-        self._dirs[-1][key] = content
-        return (searched + 1) * self.costs.pagestore_list_per_page_per_ckpt
+        newest = len(dirs) - 1
+        # Drop the stale copy an older directory holds, if any.
+        older = self._where.get(key)
+        if older is not None and older != newest:
+            stale = dirs[older].pop(key)
+            if self._open:
+                self._undo.append((older, key, stale))
+        dirs[newest][key] = content
+        self._where[key] = newest
+        return len(dirs) * self.costs.pagestore_list_per_page_per_ckpt
 
     def lookup(self, pid: int, page_idx: int) -> bytes | None:
         key = (pid, page_idx)
-        for directory in reversed(self._dirs):
-            if key in directory:
-                return directory[key]
-        return None
+        dir_idx = self._where.get(key)
+        return None if dir_idx is None else self._dirs[dir_idx][key]
 
     def pages_of(self, pid: int) -> Dict[int, bytes]:
         merged: dict[int, bytes] = {}

@@ -25,6 +25,7 @@ with the namespace detached from the bridge, reattach, gratuitous ARP.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.container.spec import ContainerSpec
@@ -129,6 +130,10 @@ class BackupAgent:
         #: each received transfer against the primary's per-page CRCs).
         self.digests_verified = 0
         self.digest_mismatches = 0
+        #: Pages in the verified transfers, and how many of them were
+        #: actually re-hashed (equal unless digests went missing).
+        self.digest_pages_received = 0
+        self.digest_pages_checked = 0
 
         self._state_queue = Queue(engine, name="backup-state")
         self._stopped = False
@@ -281,7 +286,10 @@ class BackupAgent:
         digests = delivery.message.get("page_digests")
         if digests is not None:
             self.digests_verified += 1
-            self.digest_mismatches += verify_page_digests(image, digests)
+            self.digest_pages_received += image.dirty_page_count
+            checked: list[int] = []
+            self.digest_mismatches += verify_page_digests(image, digests, checked)
+            self.digest_pages_checked += checked[0]
         yield from self._commit_state(epoch, image)
         trace(self.engine, "backup", "committed", epoch=epoch)
         self._after_commit(epoch, delivery.message)
@@ -315,6 +323,24 @@ class BackupAgent:
         return 0
         yield  # pragma: no cover -- generator form so overrides may yield
 
+    def _store_pages(self, image: CheckpointImage, start: int, stop: int) -> int:
+        """Store pages ``[start, stop)`` of *image*, counted in (process,
+        address) order, into the page store; returns their simulated cost."""
+        store_page = self.page_store.store_page
+        cost = 0
+        offset = 0
+        for pimage in image.processes:
+            pages = pimage.pages
+            lo = max(start - offset, 0)
+            hi = min(stop - offset, len(pages))
+            offset += len(pages)
+            if lo >= hi:
+                continue
+            pid = pimage.pid
+            for page_idx, content in islice(pages.items(), lo, hi):
+                cost += store_page(pid, page_idx, content)
+        return cost
+
     def _commit_state(self, epoch: int, image: CheckpointImage) -> Generator[Any, Any, None]:
         """Commit *epoch* into the page store, component buffers and disk.
 
@@ -327,23 +353,15 @@ class BackupAgent:
         record_access(self.engine, self.page_store, "open_checkpoint", "w",
                       site="backup.commit_begin")
         self.page_store.begin_checkpoint()
-        pages = [
-            (pimage.pid, page_idx, content)
-            for pimage in image.processes
-            for page_idx, content in pimage.pages.items()
-        ]
-        half = len(pages) // 2
-        store_cost = 0
-        for pid, page_idx, content in pages[:half]:
-            store_cost += self.page_store.store_page(pid, page_idx, content)
+        total = image.dirty_page_count
+        half = total // 2
+        store_cost = self._store_pages(image, 0, half)
         if store_cost:
             yield self._charge(store_cost)
         stall = fault_point(self.engine, "backup.mid_commit", epoch=epoch)
         if stall:
             yield self.engine.timeout(stall)
-        store_cost = 0
-        for pid, page_idx, content in pages[half:]:
-            store_cost += self.page_store.store_page(pid, page_idx, content)
+        store_cost = self._store_pages(image, half, total)
         if store_cost:
             yield self._charge(store_cost)
 

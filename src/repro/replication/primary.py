@@ -318,7 +318,7 @@ class PrimaryAgent:
         ``log_ack``); unknown kinds are ignored."""
 
     def _send_state(
-        self, epoch: int, image, page_digests: dict[str, int] | None = None
+        self, epoch: int, image, page_digests: dict[int, dict[int, int]] | None = None
     ) -> None:
         size = image.size_bytes()
         compressed = self.config.compress_transfer

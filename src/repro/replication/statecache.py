@@ -16,11 +16,10 @@ benchmarks".
 The same never-recompute-what-didn't-change principle drives
 :class:`PageDigestCache`: the primary ships a CRC per page with every
 state transfer so the backup can verify transfer integrity, and — like the
-infrequent-state cache — only re-derives what the epoch actually touched.
-Soft-dirty tracking already tells us which pages changed; a clean page's
-digest from the generation that last shipped it is still valid (the
-re-hash-everything reference it is benchmarked against lives in
-:mod:`repro.analysis.perfbench`).  Digesting
+infrequent-state cache — only derives what the epoch actually touched.
+Soft-dirty tracking already tells us which pages changed, and only those
+are shipped, so only those are hashed (the re-hash-everything reference it
+is benchmarked against lives in :mod:`repro.analysis.perfbench`).  Digesting
 is *host-side analysis work* (like the auditor): it charges zero simulated
 time and emits no trace events, so golden trace digests are unaffected.
 """
@@ -109,21 +108,20 @@ class InfrequentStateCache:
 
 
 class PageDigestCache:
-    """Per-page content CRCs, cached across epochs by soft-dirty generation.
+    """Per-page content CRCs of each epoch's checkpoint image.
 
     Every checkpoint transfer carries a ``page_digests`` map so the backup
     can verify each received page (:func:`verify_page_digests`).  The
-    checkpoint image already contains exactly the dirty set, so only those
-    pages are hashed; a clean page was byte-identical to the generation
-    that last shipped it, and its cached CRC is still the truth.
+    checkpoint image already contains exactly the dirty set, so only the
+    image's pages are hashed; the clean resident pages are left unhashed,
+    and ``cache_hits`` counts them.  No CRC is kept across epochs: a clean
+    page is not shipped, so nothing needs its digest.
 
     Host-side only: no simulated time is charged and no trace events are
     emitted, so installing the digest path changes no golden digest.
     """
 
     def __init__(self) -> None:
-        #: (pid, page index) -> CRC32 of the page token.
-        self._crc: dict[tuple[int, int], int] = {}
         #: Checkpoint generations digested so far.
         self.generation = 0
         #: Perf-profiler harvest counters (always on).
@@ -133,45 +131,61 @@ class PageDigestCache:
 
     def digest_image(
         self, image: "CheckpointImage", processes: Iterable[Any] = ()
-    ) -> dict[str, int]:  # hot: per-page -- runs over the dirty set every epoch
-        """Digest one epoch's checkpoint; returns ``"pid:idx" -> crc``.
+    ) -> dict[int, dict[int, int]]:  # hot: per-page -- runs over the dirty set every epoch
+        """Digest one epoch's checkpoint; returns ``{pid: {idx: crc}}``
+        with each process's pages in image (address) order.
 
         *processes* is the container's live process list, used only to
         count the clean pages that were NOT re-hashed.
         """
         self.generation += 1
-        crc_cache = self._crc
         resident = 0
         for process in processes:
             resident += len(process.mm.pages)
-        digests: dict[str, int] = {}
+        crc32 = zlib.crc32
+        digests: dict[int, dict[int, int]] = {}
         in_image = 0
         for pimage in image.processes:
-            pid = pimage.pid
             pages = pimage.pages
             in_image += len(pages)
-            for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
-                key = (pid, idx)
-                crc_cache[key] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- dirty pages only; clean pages reuse the cached generation
-                self.pages_digested += 1
-                self.bytes_hashed += PAGE_SIZE
-                digests[f"{pid}:{idx}"] = crc_cache[key]
-        # Clean resident pages whose cached digest was reused unhashed.
+            digests[pimage.pid] = {idx: crc32(content) for idx, content in pages.items()}  # nlint: disable=PERF001,PERF002 -- one map per process image; dirty pages only, clean pages are never hashed
+        self.pages_digested += in_image
+        self.bytes_hashed += in_image * PAGE_SIZE
+        # Clean resident pages left unhashed.
         self.cache_hits += max(0, resident - in_image)
         return digests
 
 
-def verify_page_digests(image: "CheckpointImage", digests: dict[str, int]) -> int:
+def verify_page_digests(
+    image: "CheckpointImage",
+    digests: dict[int, dict[int, int]],
+    checked: list[int] | None = None,
+) -> int:
     """Backup-side check: re-hash received pages against the primary's CRCs.
 
-    Returns the number of mismatched pages (0 on an intact transfer).
-    Host-side only, like the digesting itself.
+    Returns the number of mismatched pages (0 on an intact transfer).  A
+    page the primary sent no digest for cannot be checked; the number of
+    pages that were re-hashed is appended to *checked* when given, so a
+    caller can tell an intact transfer from a vacuous check.  Host-side
+    only, like the digesting itself.
     """
+    crc32 = zlib.crc32
     mismatches = 0
+    hashed = 0
     for pimage in image.processes:
-        pid = pimage.pid
-        for idx, content in pimage.pages.items():
-            expected = digests.get(f"{pid}:{idx}")
-            if expected is not None and zlib.crc32(content) != expected:  # nlint: disable=PERF002 -- integrity check must hash exactly the received bytes
-                mismatches += 1
+        expected = digests.get(pimage.pid)
+        if expected is None:
+            continue
+        actual = {idx: crc32(content) for idx, content in pimage.pages.items()}  # nlint: disable=PERF001,PERF002 -- one map per process image; the integrity check must hash exactly the received bytes
+        if actual == expected:
+            hashed += len(actual)
+            continue
+        for idx, crc in actual.items():
+            want = expected.get(idx)
+            if want is not None:
+                hashed += 1
+                if crc != want:
+                    mismatches += 1
+    if checked is not None:
+        checked.append(hashed)
     return mismatches
